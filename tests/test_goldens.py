@@ -7,6 +7,7 @@ canonical forms or in the formulas shows up as a named mismatch.
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from vermalab.suites import (
     suite_verify_gl,
     suite_whittaker,
 )
+from vermalab.whittaker import ring_structure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "goldens")
 
@@ -51,3 +53,9 @@ def test_gt_spectrum_table_matches_golden():
 def test_ktheory_table_matches_golden():
     _, table = suite_ktheory(3, 2)
     assert golden_diff(_jt(table), GOLDEN_DIR, "ktheory_n3.json")["status"] == "match"
+
+
+def test_ring_table_matches_golden():
+    spec = {name: Fraction(v) for name, v in (("x1", 0), ("x2", 1), ("x3", 3), ("x4", 7), ("h", 1))}
+    table = ring_structure(4, (1, 1, 1), spec)
+    assert golden_diff(_jt(table), GOLDEN_DIR, "ring_n4_d1_1_1.json")["status"] == "match"
