@@ -25,7 +25,6 @@ from .ring import MultiPoly, PolyRing, classical_ring, quantum_ring
 from .verma import (
     GradedOperator,
     VermaContext,
-    WeightSpace,
     WindowError,
     check_gl_relations,
     op_cartan,
@@ -53,7 +52,6 @@ __all__ = [
     "VPowerProduct",
     "VermaContext",
     "VermalabError",
-    "WeightSpace",
     "WindowError",
     "check_gl_relations",
     "classical_ring",

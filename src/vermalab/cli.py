@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -43,17 +42,6 @@ def _parse_spec(text: str) -> dict[str, Fraction]:
         name, value = chunk.split("=", 1)
         out[name.strip()] = Fraction(value.strip())
     return out
-
-
-def _threads() -> int:
-    raw = os.environ.get("VERMALAB_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise VermalabError(f"VERMALAB_THREADS must be an integer, got {raw!r}")
-    if k < 1:
-        raise VermalabError("VERMALAB_THREADS must be at least 1")
-    return k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,13 +102,19 @@ def run(argv: list[str]) -> int:
         return 2 if err.code not in (0, None) else 0
     t0 = time.time()
     try:
-        payloads = _dispatch(args)
+        exit_code = _emit(args, _dispatch(args))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except VermalabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
+    return exit_code
+
+
+def _emit(args, payloads: list) -> int:
+    """Print and write the payloads, compare with the golden; the exit code."""
     exit_code = 0
     produced_name = None
     produced_text = None
@@ -147,7 +141,6 @@ def run(argv: list[str]) -> int:
             for mm in result["mismatches"]:
                 print(f"  line {mm['line']}: produced {mm['produced']!r} vs golden {mm['golden']!r}", file=sys.stderr)
             exit_code = 1
-    print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return exit_code
 
 
@@ -158,7 +151,6 @@ def _json_text(obj) -> str:
 def _dispatch(args) -> list:
     cmd = args.command
     spec = _parse_spec(args.spec) if args.spec else None
-    _threads()
     if cmd == "patterns":
         listing = suites.patterns_listing(
             args.n, _require_degree(args), include_global=getattr(args, "global_points", False)
@@ -196,10 +188,7 @@ def _dispatch(args) -> list:
     if cmd == "monodromy":
         if spec is None:
             raise UsageError("--spec is required for monodromy (x and h values)")
-        with open(args.path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        segments = payload["segments"] if isinstance(payload, dict) else payload
-        segments = [_coerce_segment(s) for s in segments]
+        segments = _load_segments(args.path)
         rep, out = suites.suite_monodromy(
             args.n,
             _require_degree(args),
@@ -224,6 +213,21 @@ def _dispatch(args) -> list:
             write_text(args.out + ".table", extra)
         return payloads
     raise UsageError(f"unknown subcommand {cmd}")
+
+
+def _load_segments(path: str) -> list[dict]:
+    """The segments of a monodromy path file; a missing or malformed file
+    is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        segments = payload["segments"] if isinstance(payload, dict) else payload
+        segments = [_coerce_segment(s) for s in segments]
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as err:
+        raise UsageError(f"cannot read path file {path}: {type(err).__name__}: {err}") from None
+    if not segments:
+        raise UsageError(f"path file {path} has no segments")
+    return segments
 
 
 def _coerce_segment(seg: dict) -> dict:

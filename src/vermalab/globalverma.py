@@ -24,7 +24,7 @@ from .patterns import (
     enumerate_global_fixed_points,
     shift_degree,
 )
-from .verma import GradedOperator, VermaContext, root_shift
+from .verma import GradedOperator, VermaContext, ef_shift
 from .whittaker import whittaker_component
 
 
@@ -74,10 +74,9 @@ def _twist(coeff: FieldElem, sigma: tuple[int, ...], family: int) -> FieldElem:
 
 def global_ef_block(gctx: GlobalContext, which: str, family: int, i: int, d: DegreeVector) -> SparseMatrix:
     """Block of the raising (e) or lowering (f) operator of one family."""
-    n = gctx.n
     d = tuple(d)
-    sign = +1 if which == "e" else -1
-    target = shift_degree(d, root_shift(n, i + 1, i) if which == "e" else root_shift(n, i, i + 1))
+    shift = ef_shift(gctx.n, which, i)
+    target = shift_degree(d, shift)
     src = gctx.basis(d)
     tgt_index = gctx.index(target)
     local = gctx.local
@@ -85,10 +84,9 @@ def global_ef_block(gctx: GlobalContext, which: str, family: int, i: int, d: Deg
     for col, fp in enumerate(src):
         pat = fp.p0 if family == 1 else fp.pinf
         ldeg = pat.degree()
-        lblock = local.e_block(i, ldeg) if which == "e" else local.f_block(i, ldeg)
+        lblock = local.ef_block(which, i, ldeg)
         lcol = local.index(ldeg)[pat]
-        ltarget = shift_degree(ldeg, root_shift(n, i + 1, i) if which == "e" else root_shift(n, i, i + 1))
-        lbasis = local.basis(ltarget)
+        lbasis = local.basis(shift_degree(ldeg, shift))
         for (r, c), v in lblock.entries.items():
             if c != lcol:
                 continue
@@ -120,12 +118,9 @@ def global_cartan_block(gctx: GlobalContext, family: int, i: int, d: DegreeVecto
 def lazy_global(gctx: GlobalContext, which: str, family: int, i: int) -> GradedOperator:
     """which in e, f, h; family in 1, 2; label like e1(2)."""
     n = gctx.n
-    if which == "e":
-        shift = root_shift(n, i + 1, i)
-        build = lambda d: global_ef_block(gctx, "e", family, i, d)
-    elif which == "f":
-        shift = root_shift(n, i, i + 1)
-        build = lambda d: global_ef_block(gctx, "f", family, i, d)
+    if which in ("e", "f"):
+        shift = ef_shift(n, which, i)
+        build = lambda d: global_ef_block(gctx, which, family, i, d)
     elif which == "h":
         shift = (0,) * (n - 1)
         build = lambda d: global_cartan_block(gctx, family, i, d)

@@ -26,20 +26,6 @@ from .verma import (
 )
 
 
-class DiagonalOperator:
-    """Eigenvalue table of an operator diagonal on one weight space."""
-
-    __slots__ = ("label", "degree", "eigenvalues")
-
-    def __init__(self, label: str, degree: DegreeVector, eigenvalues: dict[Pattern, FieldElem]):
-        self.label = label
-        self.degree = tuple(degree)
-        self.eigenvalues = eigenvalues
-
-    def value(self, p: Pattern) -> FieldElem:
-        return self.eigenvalues[p]
-
-
 class JointSpectrum:
     __slots__ = ("degree", "labels", "table")
 

@@ -9,8 +9,6 @@ LaurentMonomial is only possible once the quadratic part cancels.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .field import VermalabError
 
 
@@ -203,7 +201,3 @@ class VPowerProduct:
 
     def __repr__(self):
         return f"VPowerProduct({self.text()})"
-
-
-def frac_is_integer(x: Fraction) -> bool:
-    return x.denominator == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .field import FieldElem, VermalabError, _flipped
+from .field import FieldElem, VermalabError
 from .ring import MultiPoly, PolyRing, poly_lcm
 
 
@@ -127,8 +127,7 @@ def solve_linear(a: SparseMatrix, rhs: list[FieldElem]) -> LinearSolveResult:
     """Exact Gaussian elimination over the function field.
 
     Rows are cleared of denominators before the forward pass, which keeps
-    entry growth in check; every division is exact field arithmetic, so a
-    ``unique`` result satisfies A sol = rhs identically.
+    entry growth in check; the elimination itself is ``solve_rows``.
     """
     if len(rhs) != a.rows:
         raise VermalabError("rhs length mismatch")
@@ -143,60 +142,61 @@ def solve_linear(a: SparseMatrix, rhs: list[FieldElem]) -> LinearSolveResult:
             scale = FieldElem(den, MultiPoly.const(ring, 1))
             for i, v in enumerate(row):
                 row[i] = v * scale
-    ncols = a.cols
+    return solve_rows(m, a.cols, FieldElem.zero(ring), FieldElem.one(ring))
+
+
+def solve_rows(m: list[list], ncols: int, zero, one) -> LinearSolveResult:
+    """Gaussian elimination of the augmented rows ``[A | b]`` in ``m``, in place.
+
+    This is the package's one elimination.  Scalars may be of any exact
+    type with ``+ - * /`` whose zero is falsy (``FieldElem``, ``Fraction``);
+    ``zero`` and ``one`` are that type's constants.  Every division is
+    exact, so a ``unique`` result satisfies A sol = b identically.
+    """
     pivots: list[int] = []
-    prow = 0
     for pc in range(ncols):
-        pr = None
-        for r in range(prow, len(m)):
-            if not m[r][pc].is_zero():
-                pr = r
-                break
+        prow = len(pivots)
+        pr = next((r for r in range(prow, len(m)) if m[r][pc]), None)
         if pr is None:
             continue
-        if pr != prow:
-            m[prow], m[pr] = m[pr], m[prow]
-        inv = _flipped(m[prow][pc])
-        for r in range(prow + 1, len(m)):
-            f = m[r][pc]
-            if f.is_zero():
+        m[prow], m[pr] = m[pr], m[prow]
+        piv = m[prow]
+        for row in m[prow + 1:]:
+            if not row[pc]:
                 continue
-            factor = f * inv
+            factor = row[pc] / piv[pc]
             for c in range(pc, ncols + 1):
-                if not m[prow][c].is_zero():
-                    m[r][c] = m[r][c] - factor * m[prow][c]
+                if piv[c]:
+                    row[c] = row[c] - factor * piv[c]
         pivots.append(pc)
-        prow += 1
-    for r in range(prow, len(m)):
-        if not m[r][ncols].is_zero():
-            return LinearSolveResult("inconsistent")
-    free = [c for c in range(ncols) if c not in pivots]
+    if any(row[ncols] for row in m[len(pivots):]):
+        return LinearSolveResult("inconsistent")
     # particular solution with free coordinates set to zero
-    sol = [FieldElem.zero(ring) for _ in range(ncols)]
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        s = m[i][ncols]
-        for c in range(pc + 1, ncols):
-            if not m[i][c].is_zero() and not sol[c].is_zero():
-                s = s - m[i][c] * sol[c]
-        sol[pc] = s / m[i][pc]
+    sol = _back_substitute(m, pivots, [row[ncols] for row in m], [zero] * ncols)
+    free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return LinearSolveResult("unique", solution=sol)
     kernel = []
     for fc in free:
-        vec = [FieldElem.zero(ring) for _ in range(ncols)]
-        vec[fc] = FieldElem.one(ring)
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            s = FieldElem.zero(ring)
-            for c in range(pc + 1, ncols):
-                if not m[i][c].is_zero() and not vec[c].is_zero():
-                    s = s - m[i][c] * vec[c]
-            vec[pc] = s / m[i][pc]
-        lead = next(v for v in vec if not v.is_zero())
-        inv = _flipped(lead)
-        kernel.append([v * inv for v in vec])
+        vec = [zero] * ncols
+        vec[fc] = one
+        vec = _back_substitute(m, pivots, [zero] * len(pivots), vec)
+        lead = next(v for v in vec if v)
+        kernel.append([v / lead for v in vec])
     return LinearSolveResult("underdetermined", solution=sol, kernel=kernel)
+
+
+def _back_substitute(m, pivots: list[int], start: list, vec: list) -> list:
+    """Fill the pivot coordinates of vec from the echelon rows of m, row i
+    starting from ``start[i]``; the other coordinates are taken as given."""
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        s = start[i]
+        for c in range(pc + 1, len(vec)):
+            if m[i][c] and vec[c]:
+                s = s - m[i][c] * vec[c]
+        vec[pc] = s / m[i][pc]
+    return vec
 
 
 def vstack(blocks: Iterable[SparseMatrix]) -> SparseMatrix:

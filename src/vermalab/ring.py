@@ -20,7 +20,7 @@ byte stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from typing import Iterable, Mapping
 
 
@@ -417,10 +417,6 @@ def _uni_content(coeffs: dict[int, MultiPoly]) -> MultiPoly:
     return g
 
 
-def _uni_scale(coeffs: dict[int, MultiPoly], m: MultiPoly) -> dict[int, MultiPoly]:
-    return {k: p * m for k, p in coeffs.items()}
-
-
 def _uni_divide(coeffs: dict[int, MultiPoly], g: MultiPoly) -> dict[int, MultiPoly]:
     out = {}
     for k, p in coeffs.items():
@@ -500,12 +496,6 @@ def _interpolate(h: MultiPoly, xi: int, var: int) -> MultiPoly:
     return MultiPoly(h.ring, out)
 
 
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
-
-
 def _heu_gcd(a: MultiPoly, b: MultiPoly, depth: int = 0) -> MultiPoly | None:
     """Heuristic gcd of integer-primitive polynomials; the candidate is
     verified by exact division, so a non-None answer is a true common
@@ -533,7 +523,7 @@ def _heu_gcd(a: MultiPoly, b: MultiPoly, depth: int = 0) -> MultiPoly | None:
                 cand = _positive_lead(cand)
                 if not cand.is_zero() and exact_div(a, cand) is not None and exact_div(b, cand) is not None:
                     return cand
-        xi = 73794 * xi * _isqrt(_isqrt(xi)) // 27011
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 

@@ -103,10 +103,6 @@ def lazy_qc(ctx: VermaContext, k: int) -> GradedOperator:
     return op
 
 
-def op_qc(n: int, k: int, window) -> GradedOperator:
-    return lazy_qc(quantum_context(n), k).snapshot(window)
-
-
 def quadratic_space_element(
     n: int,
     mu: list[FieldElem | int | Fraction],

@@ -29,7 +29,6 @@ from .globalverma import (
 )
 from .linalg import SparseMatrix
 from .patterns import (
-    degree_valid,
     degree_vectors_upto,
     enumerate_global_fixed_points,
     enumerate_patterns,
@@ -316,19 +315,15 @@ def suite_qc(n: int, degree, decider: ZeroDecider | None = None, probe_doubled: 
 
 
 def _doubled_commutator_block(n: int, k: int, l: int, d):
-    from .verma import lazy_eij, operator_sum
-
+    """[QC_k', QC_l'] on V_d for QC' = 2 QC - tildeCas, the variant whose
+    deformation coefficients are 2c."""
     ctx = shiftarg.quantum_context(n)
+    two = FieldElem.from_rational(ctx.ring, 2)
 
-    def scaled(kk):
-        terms = [gtalg.lazy_tilde_casimir(ctx, kk)]
-        for i in range(1, kk):
-            for j in range(kk + 1, n + 1):
-                coeff = shiftarg.q_coefficient(n, i, kk, j, ctx.ring) * 2
-                terms.append(lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i)).scale(coeff))
-        return operator_sum(terms)
+    def doubled(kk):
+        return shiftarg.lazy_qc(ctx, kk).scale(two).sub(gtalg.lazy_tilde_casimir(ctx, kk))
 
-    return scaled(k).commutator(scaled(l)).block(tuple(d))
+    return doubled(k).commutator(doubled(l)).block(tuple(d))
 
 
 def suite_flatness(n: int, degree) -> VerificationReport:

@@ -22,8 +22,6 @@ ladder E[a][b] = [E[a][b+1-step], ...]; see ``eij_block``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .field import FieldElem, VermalabError
 from .linalg import SparseMatrix
 from .patterns import (
@@ -41,19 +39,6 @@ class WindowError(VermalabError):
     """Raised when a block outside the materialized window is accessed."""
 
 
-class WeightSpace:
-    __slots__ = ("n", "degree", "basis")
-
-    def __init__(self, n: int, degree: DegreeVector, basis: tuple[Pattern, ...]):
-        self.n = n
-        self.degree = degree
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def root_shift(n: int, a: int, b: int) -> tuple[int, ...]:
     """Degree shift of E[a][b]: lowering for a < b, raising for a > b."""
     shift = [0] * (n - 1)
@@ -64,6 +49,11 @@ def root_shift(n: int, a: int, b: int) -> tuple[int, ...]:
         for i in range(b, a):
             shift[i - 1] += 1
     return tuple(shift)
+
+
+def ef_shift(n: int, which: str, i: int) -> tuple[int, ...]:
+    """Degree shift of the row-i raise ("e", E[i+1][i]) or lower ("f", E[i][i+1])."""
+    return root_shift(n, i + 1, i) if which == "e" else root_shift(n, i, i + 1)
 
 
 class VermaContext:
@@ -116,9 +106,6 @@ class VermaContext:
             self._index[d] = got
         return got
 
-    def weight_space(self, d: DegreeVector) -> WeightSpace:
-        return WeightSpace(self.n, tuple(d), self.basis(d))
-
     # -- coefficient building blocks -------------------------------------
 
     def linform_poly(self, j: int, k: int, c: int) -> "MultiPoly":
@@ -132,10 +119,6 @@ class VermaContext:
                 got = MultiPoly.var(self.ring, f"x{j}") - MultiPoly.var(self.ring, f"x{k}") + self.hpoly.scale(c)
             self._linform_polys[key] = got
         return got
-
-    def linform(self, j: int, k: int, c: int) -> FieldElem:
-        """x_j - x_k + c h as a field element."""
-        return FieldElem.from_poly(self.linform_poly(j, k, c))
 
     def cartan_scalar(self, i: int, d: DegreeVector) -> FieldElem:
         dprev = d[i - 2] if i >= 2 else 0
@@ -170,49 +153,33 @@ class VermaContext:
     # -- primitive blocks ---------------------------------------------------
 
     def e_block(self, i: int, d: DegreeVector) -> SparseMatrix:
-        d = tuple(d)
-        key = ("e", i, d)
-        got = self._blocks.get(key)
-        if got is not None:
-            return got
-        target_d = shift_degree(d, root_shift(self.n, i + 1, i))
-        src = self.basis(d)
-        tgt_index = self.index(target_d)
-        entries = {}
-        for col, p in enumerate(src):
-            for j in range(1, i + 1):
-                q = p.bump(i, j, +1)
-                if q is None:
-                    continue
-                row = tgt_index.get(q)
-                if row is None:
-                    continue
-                coeff = self.e_coefficient(p, i, j)
-                if not coeff.is_zero():
-                    entries[(row, col)] = coeff
-        got = SparseMatrix(self.dim(target_d), len(src), self.ring, entries)
-        self._blocks[key] = got
-        return got
+        return self.ef_block("e", i, d)
 
     def f_block(self, i: int, d: DegreeVector) -> SparseMatrix:
+        return self.ef_block("f", i, d)
+
+    def ef_block(self, which: str, i: int, d: DegreeVector) -> SparseMatrix:
+        """Block of the row-i raise ("e") or lower ("f") on V_d, cached
+        under (which, i, d)."""
         d = tuple(d)
-        key = ("f", i, d)
+        key = (which, i, d)
         got = self._blocks.get(key)
         if got is not None:
             return got
-        target_d = shift_degree(d, root_shift(self.n, i, i + 1))
+        step, coefficient = (+1, self.e_coefficient) if which == "e" else (-1, self.f_coefficient)
+        target_d = shift_degree(d, ef_shift(self.n, which, i))
         src = self.basis(d)
         tgt_index = self.index(target_d)
         entries = {}
         for col, p in enumerate(src):
             for j in range(1, i + 1):
-                q = p.bump(i, j, -1)
+                q = p.bump(i, j, step)
                 if q is None:
                     continue
                 row = tgt_index.get(q)
                 if row is None:
                     continue
-                coeff = self.f_coefficient(p, i, j)
+                coeff = coefficient(p, i, j)
                 if not coeff.is_zero():
                     entries[(row, col)] = coeff
         got = SparseMatrix(self.dim(target_d), len(src), self.ring, entries)
@@ -454,12 +421,7 @@ def gl_relation_defect(
     relation holds there)."""
     a, b = ab
     c, dd = cd
-    n = ctx.n
-    s_ab = root_shift(n, a, b)
-    s_cd = root_shift(n, c, dd)
-    first = ctx.eij_block(a, b, shift_degree(d, s_cd)) @ ctx.eij_block(c, dd, d)
-    second = ctx.eij_block(c, dd, shift_degree(d, s_ab)) @ ctx.eij_block(a, b, d)
-    out = first - second
+    out = ctx._commutator_block(ab, cd, d)
     if b == c:
         out = out - ctx.eij_block(a, dd, d)
     if dd == a:

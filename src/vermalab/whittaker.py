@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .field import FieldElem, VermalabError
 from .gtalg import eig_det_bundle, joint_spectrum
-from .linalg import solve_linear, vstack
+from .linalg import solve_linear, solve_rows, vstack
 from .patterns import DegreeVector, Pattern, degree_valid
 from .ring import PolyRing
 from .verma import VermaContext
@@ -193,20 +193,25 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
 
     chosen: list[tuple[int, ...]] = []
     chosen_vals: list[list[Fraction]] = []
-    rank = 0
+
+    def expand(vals):
+        """Solve sum_i c_i chosen_vals[i] = vals, one equation per point."""
+        m = [[row[idx] for row in chosen_vals] + [vals[idx]] for idx in range(dim)]
+        return solve_rows(m, len(chosen_vals), Fraction(0), Fraction(1))
+
     bound = 0
-    while rank < dim:
+    while len(chosen) < dim:
         bound += 1
         candidates = _graded_exponents(len(labels), bound)
         for expv in candidates:
             if expv in chosen:
                 continue
             vals = monomial_values(expv)
-            if _rank_of(chosen_vals + [vals]) > rank:
+            # a monomial outside the span of the chosen ones raises the rank
+            if expand(vals).status == "inconsistent":
                 chosen.append(expv)
                 chosen_vals.append(vals)
-                rank += 1
-                if rank == dim:
+                if len(chosen) == dim:
                     break
         if bound > dim + 1:
             raise VermalabError("monomial basis search failed to reach full rank")
@@ -214,10 +219,12 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     for ia, la in enumerate(labels):
         for ib, lb in enumerate(labels[ia:], start=ia):
             target = [values[la][idx] * values[lb][idx] for idx in range(dim)]
-            coeffs = _solve_rational(chosen_vals, target)
+            res = expand(target)
+            if res.status != "unique":
+                raise VermalabError("product does not lie in the chosen span")
             products[f"{la}*{labels[ib]}"] = {
                 _exp_label(labels, expv): str(c)
-                for expv, c in zip(chosen, coeffs)
+                for expv, c in zip(chosen, res.solution)
                 if c != 0
             }
     out["specialization"] = {k: str(v) for k, v in sorted(specialization.items())}
@@ -250,56 +257,3 @@ def _exp_label(labels: list[str], expv: tuple[int, ...]) -> str:
         f"{lab}^{e}" if e > 1 else lab for lab, e in zip(labels, expv) if e
     ]
     return "*".join(parts) if parts else "1"
-
-
-def _rank_of(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    pc = 0
-    for pc in range(ncols):
-        pr = None
-        for r in range(rank, len(m)):
-            if m[r][pc] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][pc]
-        for r in range(len(m)):
-            if r != rank and m[r][pc] != 0:
-                f = m[r][pc] / piv
-                for c in range(pc, ncols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-    return rank
-
-
-def _solve_rational(rows: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Solve sum_i c_i rows[i] = target exactly (rows independent)."""
-    k = len(rows)
-    npts = len(target)
-    m = [[rows[i][p] for i in range(k)] + [target[p]] for p in range(npts)]
-    piv_rows = []
-    rank = 0
-    for pc in range(k):
-        pr = next((r for r in range(rank, npts) if m[r][pc] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][pc]
-        for r in range(npts):
-            if r != rank and m[r][pc] != 0:
-                f = m[r][pc] / piv
-                for c in range(pc, k + 1):
-                    m[r][c] -= f * m[rank][c]
-        piv_rows.append(pc)
-        rank += 1
-    for r in range(rank, npts):
-        if m[r][k] != 0:
-            raise VermalabError("product does not lie in the chosen span")
-    sol = [Fraction(0)] * k
-    for i, pc in enumerate(piv_rows):
-        sol[pc] = m[i][k] / m[i][pc]
-    return sol

@@ -1,9 +1,10 @@
 """Exact linear solving over the function field."""
 
 import random
+from fractions import Fraction
 
 from vermalab.field import FieldElem
-from vermalab.linalg import SparseMatrix, solve_linear, vstack
+from vermalab.linalg import SparseMatrix, solve_linear, solve_rows, vstack
 from vermalab.ring import classical_ring
 
 R = classical_ring(2)
@@ -74,3 +75,17 @@ def test_matrix_equality_is_exact():
     a = SparseMatrix(1, 1, R, {(0, 0): (X1 * X1 - H * H) / (X1 - H)})
     b = SparseMatrix(1, 1, R, {(0, 0): X1 + H})
     assert a == b
+
+
+def test_solve_rows_over_fractions():
+    # the same elimination runs on rational scalars: [A | b] rows
+    f = Fraction
+    zero, one = f(0), f(1)
+    res = solve_rows([[f(2), f(1), f(3)], [f(1), f(-1), f(0)]], 2, zero, one)
+    assert res.status == "unique" and res.solution == [f(1), f(1)]
+    res = solve_rows([[f(1), f(2), f(1)], [f(2), f(4), f(3)]], 2, zero, one)
+    assert res.status == "inconsistent"
+    res = solve_rows([[f(0), f(2), f(4), f(2)]], 3, zero, one)
+    assert res.status == "underdetermined"
+    assert res.solution == [f(0), f(1), f(0)]
+    assert res.kernel == [[one, zero, zero], [zero, one, f(-1, 2)]]

@@ -87,8 +87,8 @@ def test_qc_suite_findings_do_not_fail():
     assert statuses["QC2 at q=0 equals tildeCas2"] == "pass"
 
 
-def _run_cli(*argv):
-    env = dict(os.environ)
+def _run_cli(*argv, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")]
         + env.get("PYTHONPATH", "").split(os.pathsep)
@@ -157,15 +157,50 @@ def test_cli_golden_flow(tmp_path):
     assert "golden: match" in res.stderr
 
 
-def test_cli_threads_env_validation(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["VERMALAB_THREADS"] = "zero"
-    res = subprocess.run(
-        [sys.executable, "-m", "vermalab.cli", "patterns", "--n", "2", "--degree", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
+def _assert_one_line_error(res, code, prefix):
+    assert res.returncode == code
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_missing_golden_is_one_line_error(tmp_path):
+    res = _run_cli("patterns", "--n", "2", "--degree", "1", "--golden", str(tmp_path))
+    _assert_one_line_error(res, 1, "error: golden file missing: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", '{"paths": []}', '{"segments": [{"from": [[0.3, 0.0]]}]}', '{"segments": []}'],
+    ids=["missing", "malformed", "no-segments-key", "no-to-key", "empty"],
+)
+def test_cli_bad_monodromy_path_is_usage_error(tmp_path, content):
+    path = tmp_path / "loop.json"
+    if content is not None:
+        path.write_text(content)
+    res = _run_cli(
+        "monodromy", "--n", "3", "--degree", "1,1", "--spec", "x1=0,x2=1,x3=2,h=1", "--path", str(path)
     )
-    assert res.returncode == 1
-    assert "VERMALAB_THREADS" in res.stderr
+    _assert_one_line_error(res, 2, "usage error: ")
+
+
+def test_cli_outputs_identical_across_hash_seeds(tmp_path):
+    runs = [
+        ("qc-check", "--n", "3", "--degree", "1,1"),
+        ("global-verify", "--n", "2", "--max-degree", "2"),
+        ("ktheory", "--n", "3", "--max-degree", "2"),
+    ]
+    outputs = {}
+    for seed in ("0", "12345"):
+        out_dir = tmp_path / seed
+        out_dir.mkdir()
+        for idx, argv in enumerate(runs):
+            res = _run_cli(*argv, "--out", str(out_dir / f"r{idx}.json"), PYTHONHASHSEED=seed)
+            assert res.returncode == 0, res.stderr
+            outputs[(seed, idx, "stdout")] = res.stdout
+        for path in sorted(out_dir.iterdir()):
+            outputs[(seed, path.name)] = path.read_bytes()
+    files = sorted(key[1] for key in outputs if key[0] == "0" and len(key) == 2)
+    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table"]
+    for key in [k for k in outputs if k[0] == "0"]:
+        assert outputs[key] == outputs[("12345",) + key[1:]], key
