@@ -32,15 +32,26 @@ SUBCOMMANDS = (
 )
 
 
+class UsageError(VermalabError):
+    pass
+
+
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{flag} needs a rational number, got {text!r}") from None
+
+
 def _parse_spec(text: str) -> dict[str, Fraction]:
     out = {}
     if not text:
         return out
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise VermalabError(f"bad specialization entry: {chunk}")
+            raise UsageError(f"bad --spec entry {chunk!r}: needs name=value")
         name, value = chunk.split("=", 1)
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = _fraction(f"--spec {name.strip()}", value.strip())
     return out
 
 
@@ -55,14 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True, help="rank")
         sp.add_argument("--degree", type=str, default=None, help="comma separated degree vector")
         sp.add_argument("--max-degree", type=int, default=None, help="bound on |d|")
-        sp.add_argument("--mode", choices=("exact", "random-eval"), default="exact")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=20)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", type=str, default=None, help="output file path")
         sp.add_argument("--spec", type=str, default=None, help="x1=0,x2=1,... rational specialization")
         sp.add_argument("--golden", type=str, default=None, help="golden directory")
         sp.add_argument("--bless", action="store_true", help="write new goldens")
+        if name == "qc-check":
+            sp.add_argument("--mode", choices=("exact", "random-eval"), default="exact")
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--trials", type=int, default=20)
         if name == "patterns":
             sp.add_argument("--global", dest="global_points", action="store_true")
         if name == "gt-spectrum":
@@ -78,20 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _require_degree(args) -> str:
+def _require_degree(args) -> tuple[int, ...]:
     if args.degree is None:
         raise UsageError("--degree is required for this subcommand")
-    return args.degree
+    try:
+        return suites._tuple_degree(args.degree)
+    except ValueError:
+        raise UsageError(f"--degree needs comma separated integers, got {args.degree!r}") from None
 
 
 def _require_max_degree(args) -> int:
     if args.max_degree is None:
         raise UsageError("--max-degree is required for this subcommand")
     return args.max_degree
-
-
-class UsageError(VermalabError):
-    pass
 
 
 def run(argv: list[str]) -> int:
@@ -157,8 +168,7 @@ def _dispatch(args) -> list:
         )
         return [("data", f"patterns_n{args.n}.json", _json_text(listing))]
     if cmd == "verify-gl":
-        decider = suites.ZeroDecider(args.mode, args.trials, args.seed)
-        rep = suites.suite_verify_gl(args.n, _require_max_degree(args), decider)
+        rep = suites.suite_verify_gl(args.n, _require_max_degree(args))
         return [("report", f"verify_gl_n{args.n}.{args.format}", (rep, rep.render_text()))]
     if cmd == "gt-spectrum":
         rep, table = suites.suite_gt_spectrum(args.n, _require_degree(args), args.generators)
@@ -179,6 +189,8 @@ def _dispatch(args) -> list:
             ("data", f"ring_table_n{args.n}.json", _json_text(table)),
         ]
     if cmd == "qc-check":
+        if args.trials < 1:
+            raise UsageError(f"--trials must be at least 1, got {args.trials}")
         decider = suites.ZeroDecider(args.mode, args.trials, args.seed)
         rep = suites.suite_qc(args.n, _require_degree(args), decider)
         return [("report", f"qc_n{args.n}.{args.format}", (rep, rep.render_text()))]
@@ -193,7 +205,7 @@ def _dispatch(args) -> list:
             args.n,
             _require_degree(args),
             spec,
-            Fraction(args.kappa),
+            _fraction("--kappa", args.kappa),
             segments,
             tolerance=args.tolerance,
         )

@@ -98,11 +98,6 @@ class FieldElem:
         )
 
     @classmethod
-    def from_poly(cls, p: MultiPoly) -> "FieldElem":
-        ip, lcm = p.clear_denominators()
-        return cls(ip, MultiPoly.const(p.ring, lcm))
-
-    @classmethod
     def var(cls, ring: PolyRing, name: str) -> "FieldElem":
         return cls(
             MultiPoly.var(ring, name), MultiPoly.const(ring, 1), _canonical=True, dfac=()
@@ -167,14 +162,6 @@ class FieldElem:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_rational(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise VermalabError(f"not a constant: {self.text()}")
-        return Fraction(int(self.num.const_value()), int(self.den.const_value()))
 
     def __bool__(self):
         return not self.num.is_zero()

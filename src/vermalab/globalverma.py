@@ -24,46 +24,21 @@ from .patterns import (
     enumerate_global_fixed_points,
     shift_degree,
 )
-from .verma import GradedOperator, VermaContext, ef_shift
+from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift
 from .whittaker import whittaker_component
 
 
-class GlobalContext:
-    _instances: dict[int, "GlobalContext"] = {}
+class GlobalContext(_GradedSpace):
+    """Global fixed points of one rank; memoised on the local context."""
 
     def __init__(self, n: int):
-        self.n = n
+        super().__init__(n, enumerate_global_fixed_points)
         self.local = VermaContext.get(n)
         self.ring = self.local.ring
-        self._basis: dict[DegreeVector, tuple[GlobalFixedPoint, ...]] = {}
-        self._index: dict[DegreeVector, dict[GlobalFixedPoint, int]] = {}
 
     @classmethod
     def get(cls, n: int) -> "GlobalContext":
-        inst = cls._instances.get(n)
-        if inst is None:
-            inst = cls(n)
-            cls._instances[n] = inst
-        return inst
-
-    def basis(self, d: DegreeVector) -> tuple[GlobalFixedPoint, ...]:
-        d = tuple(d)
-        got = self._basis.get(d)
-        if got is None:
-            got = tuple(enumerate_global_fixed_points(self.n, d)) if degree_valid(d) else ()
-            self._basis[d] = got
-        return got
-
-    def dim(self, d: DegreeVector) -> int:
-        return len(self.basis(d))
-
-    def index(self, d: DegreeVector) -> dict[GlobalFixedPoint, int]:
-        d = tuple(d)
-        got = self._index.get(d)
-        if got is None:
-            got = {fp: i for i, fp in enumerate(self.basis(d))}
-            self._index[d] = got
-        return got
+        return VermaContext.get(n)._cached(("GlobalContext",), lambda: cls(n))
 
 
 def _twist(coeff: FieldElem, sigma: tuple[int, ...], family: int) -> FieldElem:
@@ -115,6 +90,7 @@ def global_cartan_block(gctx: GlobalContext, family: int, i: int, d: DegreeVecto
     return SparseMatrix(len(src), len(src), gctx.ring, entries)
 
 
+@_named_operator
 def lazy_global(gctx: GlobalContext, which: str, family: int, i: int) -> GradedOperator:
     """which in e, f, h; family in 1, 2; label like e1(2)."""
     n = gctx.n

@@ -19,6 +19,7 @@ from .ring import PolyRing
 from .verma import (
     GradedOperator,
     VermaContext,
+    _named_operator,
     lazy_cartan,
     lazy_eij,
     lazy_scalar,
@@ -51,6 +52,7 @@ class JointSpectrum:
 # -- assembled operators ----------------------------------------------------
 
 
+@_named_operator
 def lazy_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     """Sum of E_ij E_ji over ordered pairs (i, j) in [k]^2, lex order."""
     terms = []
@@ -62,6 +64,7 @@ def lazy_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     return op
 
 
+@_named_operator
 def lazy_tilde_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     """Cas_k + (2-k) sum E_jj - sum (x_j/h)(x_j/h - 1) + k(k-1)(k-2)/3."""
     op = lazy_casimir(ctx, k)

@@ -28,7 +28,7 @@ from .field import FieldElem, VermalabError
 from .gtalg import lazy_tilde_casimir
 from .patterns import DegreeVector
 from .ring import PolyRing, quantum_ring
-from .verma import GradedOperator, VermaContext, lazy_eij, operator_sum
+from .verma import GradedOperator, VermaContext, _named_operator, lazy_eij, operator_sum
 
 
 class RegularityError(VermalabError):
@@ -84,6 +84,7 @@ def q_coefficient(n: int, i: int, k: int, j: int, ring: PolyRing | None = None) 
     return FieldElem(num, den, _canonical=True, dfac=(den,))
 
 
+@_named_operator
 def lazy_qc(ctx: VermaContext, k: int) -> GradedOperator:
     """QC_k as a lazy operator over the q-extended field."""
     n = ctx.n

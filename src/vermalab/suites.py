@@ -83,7 +83,7 @@ def patterns_listing(n: int, degree, include_global: bool = False) -> dict:
 # -- gl(n) relations -----------------------------------------------------------
 
 
-def suite_verify_gl(n: int, max_degree: int, decider: ZeroDecider | None = None) -> VerificationReport:
+def suite_verify_gl(n: int, max_degree: int) -> VerificationReport:
     rep = VerificationReport("verify-gl", {"n": n, "max_degree": max_degree})
     results = verma.check_gl_relations(n, max_degree)
     for label, anchor, ok, witness in results:
@@ -251,14 +251,13 @@ def suite_ring(n: int, degree, specialization: dict | None) -> tuple[Verificatio
 # -- deformed family ----------------------------------------------------------------
 
 
-def suite_qc(n: int, degree, decider: ZeroDecider | None = None, probe_doubled: bool = True) -> VerificationReport:
+def suite_qc(n: int, degree, decider: ZeroDecider | None = None) -> VerificationReport:
     d = _tuple_degree(degree)
     rep = VerificationReport("qc-check", {"degree": list(d), "n": n})
     decider = decider or ZeroDecider()
     if n < 3:
         rep.add("deformed family", "no quantum parameters (Picard rank n-2 = 0)", VACUOUS)
         return rep
-    ctx = shiftarg.quantum_context(n)
     for k in range(2, n):
         ok = shiftarg.qc_at_q_zero_matches(n, k, d)
         rep.add_check(
@@ -284,16 +283,15 @@ def suite_qc(n: int, degree, decider: ZeroDecider | None = None, probe_doubled: 
                 f"nonzero {witness}",
             )
             nonzero_pairs.append((k, l))
-    if nonzero_pairs and probe_doubled:
-        for k, l in nonzero_pairs:
-            blk = _doubled_commutator_block(n, k, l, d)
-            status = "vanishes" if blk.is_zero() else "does not vanish"
-            rep.add(
-                f"doubled-correction probe [QC{k}',QC{l}'] on V_{list(d)}",
-                "variant with doubled deformation coefficients",
-                FINDING,
-                f"commutator with coefficients 2c {status} on this block",
-            )
+    for k, l in nonzero_pairs:
+        blk = _doubled_commutator_block(n, k, l, d)
+        status = "vanishes" if blk.is_zero() else "does not vanish"
+        rep.add(
+            f"doubled-correction probe [QC{k}',QC{l}'] on V_{list(d)}",
+            "variant with doubled deformation coefficients",
+            FINDING,
+            f"commutator with coefficients 2c {status} on this block",
+        )
     # open-question probe: quadratic-space element with the stated weights
     for k in range(2, n):
         diff = shiftarg.qc_vs_quadratic_space(n, k, d)

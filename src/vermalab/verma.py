@@ -22,6 +22,8 @@ ladder E[a][b] = [E[a][b+1-step], ...]; see ``eij_block``.
 
 from __future__ import annotations
 
+import functools
+
 from .field import FieldElem, VermalabError
 from .linalg import SparseMatrix
 from .patterns import (
@@ -56,16 +58,54 @@ def ef_shift(n: int, which: str, i: int) -> tuple[int, ...]:
     return root_shift(n, i + 1, i) if which == "e" else root_shift(n, i, i + 1)
 
 
-class VermaContext:
-    """Caches bases and operator blocks for one rank and coefficient ring."""
+class _GradedSpace:
+    """The bases of the graded pieces of one rank, in the order of their
+    enumerator, their indices, and the objects memoised on the space."""
+
+    def __init__(self, n: int, enumerate_points):
+        self.n = n
+        self._enumerate = enumerate_points
+        self._basis: dict[DegreeVector, tuple] = {}
+        self._index: dict[DegreeVector, dict] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def basis(self, d: DegreeVector) -> tuple:
+        d = tuple(d)
+        got = self._basis.get(d)
+        if got is None:
+            got = tuple(self._enumerate(self.n, d)) if degree_valid(d) else ()
+            self._basis[d] = got
+        return got
+
+    def dim(self, d: DegreeVector) -> int:
+        return len(self.basis(d))
+
+    def index(self, d: DegreeVector) -> dict:
+        d = tuple(d)
+        got = self._index.get(d)
+        if got is None:
+            got = {p: i for i, p in enumerate(self.basis(d))}
+            self._index[d] = got
+        return got
+
+    def _cached(self, key: tuple, make):
+        """The object memoised under ``key``; ``make()`` builds it on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = make()
+            self._memo[key] = got
+        return got
+
+
+class VermaContext(_GradedSpace):
+    """Owns every cache of one rank and coefficient ring: bases, operator
+    blocks, named operators, the global context and the Whittaker solver."""
 
     _instances: dict[tuple[int, PolyRing], "VermaContext"] = {}
 
     def __init__(self, n: int, ring: PolyRing | None = None):
-        self.n = n
+        super().__init__(n, enumerate_patterns)
         self.ring = ring or classical_ring(n)
-        self._basis: dict[DegreeVector, tuple[Pattern, ...]] = {}
-        self._index: dict[DegreeVector, dict[Pattern, int]] = {}
         self._blocks: dict[tuple, SparseMatrix] = {}
         self._linform_polys: dict[tuple[int, int, int], "MultiPoly"] = {}
         self.hpoly = MultiPoly.var(self.ring, "h")
@@ -84,27 +124,6 @@ class VermaContext:
             inst = cls(n, ring)
             cls._instances[key] = inst
         return inst
-
-    # -- bases ---------------------------------------------------------
-
-    def basis(self, d: DegreeVector) -> tuple[Pattern, ...]:
-        d = tuple(d)
-        got = self._basis.get(d)
-        if got is None:
-            got = tuple(enumerate_patterns(self.n, d)) if degree_valid(d) else ()
-            self._basis[d] = got
-        return got
-
-    def dim(self, d: DegreeVector) -> int:
-        return len(self.basis(d))
-
-    def index(self, d: DegreeVector) -> dict[Pattern, int]:
-        d = tuple(d)
-        got = self._index.get(d)
-        if got is None:
-            got = {p: i for i, p in enumerate(self.basis(d))}
-            self._index[d] = got
-        return got
 
     # -- coefficient building blocks -------------------------------------
 
@@ -257,14 +276,6 @@ class GradedOperator:
             self.blocks[d] = got
         return got
 
-    def window(self) -> frozenset[DegreeVector]:
-        return frozenset(self.blocks)
-
-    def materialize(self, degrees) -> "GradedOperator":
-        for d in degrees:
-            self.block(d)
-        return self
-
     def snapshot(self, degrees) -> "GradedOperator":
         """A strict copy materialized exactly on ``degrees``."""
         blocks = {tuple(d): self.block(d) for d in degrees}
@@ -316,9 +327,6 @@ class GradedOperator:
 
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
         return self.compose(other).sub(other.compose(self))
-
-    def is_zero_on(self, degrees) -> bool:
-        return all(self.block(d).is_zero() for d in degrees)
 
     def to_json_dict(self) -> dict:
         blocks = []
@@ -383,6 +391,22 @@ def fixed_point_to_eigenbasis_scale(n: int, d: DegreeVector, ring: PolyRing | No
     return scale
 
 
+def _named_operator(make):
+    """Memoise a lazy-operator factory on its context under (name, indices).
+
+    Every caller shares the one operator and its block cache, so each block
+    is built once; no caller may change its label, builder or blocks.
+    """
+    name = make.__name__
+
+    @functools.wraps(make)
+    def lazy(ctx, *indices):
+        return ctx._cached((name, *indices), lambda: make(ctx, *indices))
+
+    return lazy
+
+
+@_named_operator
 def lazy_cartan(ctx: VermaContext, i: int) -> GradedOperator:
     def build(d):
         return ctx.diagonal_block(d, ctx.cartan_scalar(i, d))
@@ -390,6 +414,7 @@ def lazy_cartan(ctx: VermaContext, i: int) -> GradedOperator:
     return GradedOperator(ctx, (0,) * (ctx.n - 1), None, build, f"E{i}{i}")
 
 
+@_named_operator
 def lazy_eij(ctx: VermaContext, a: int, b: int) -> GradedOperator:
     def build(d):
         return ctx.eij_block(a, b, d)

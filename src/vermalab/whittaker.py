@@ -94,16 +94,10 @@ class WhittakerSolver:
         return comp
 
 
-_solvers: dict[tuple[int, PolyRing | None], WhittakerSolver] = {}
-
-
 def whittaker_component(n: int, d: DegreeVector, ring: PolyRing | None = None) -> WhittakerComponent:
-    key = (n, ring)
-    solver = _solvers.get(key)
-    if solver is None:
-        solver = WhittakerSolver(n, ring)
-        _solvers[key] = solver
-    return solver.component(d)
+    """Component of degree d from the one solver memoised on the context."""
+    ctx = VermaContext.get(n, ring)
+    return ctx._cached(("WhittakerSolver",), lambda: WhittakerSolver(n, ctx.ring)).component(d)
 
 
 def check_cyclicity(n: int, d: DegreeVector, ring: PolyRing | None = None):

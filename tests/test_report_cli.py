@@ -35,8 +35,8 @@ def test_reports_are_byte_identical_across_runs():
 
 
 def test_exact_mode_is_seed_independent():
-    a = suite_verify_gl(2, 2, ZeroDecider("exact", seed=1)).to_json()
-    b = suite_verify_gl(2, 2, ZeroDecider("exact", seed=999)).to_json()
+    a = suite_qc(3, "1,1", ZeroDecider("exact", seed=1)).to_json()
+    b = suite_qc(3, "1,1", ZeroDecider("exact", seed=999)).to_json()
     assert a == b
 
 
@@ -182,6 +182,40 @@ def test_cli_bad_monodromy_path_is_usage_error(tmp_path, content):
         "monodromy", "--n", "3", "--degree", "1,1", "--spec", "x1=0,x2=1,x3=2,h=1", "--path", str(path)
     )
     _assert_one_line_error(res, 2, "usage error: ")
+
+
+_SPEC = "x1=0,x2=1,x3=2,h=1"
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--degree", ("patterns", "--n", "2", "--degree", "1,x")),
+        ("--degree", ("patterns", "--n", "2", "--degree", "1,")),
+        ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=abc,x2=1,x3=2,h=1")),
+        ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=1/0,x2=1,x3=2,h=1")),
+        ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1")),
+        ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "abc")),
+        ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1/0")),
+        ("--trials", ("qc-check", "--n", "3", "--degree", "1,1", "--mode", "random-eval", "--trials", "0")),
+    ],
+    ids=["degree-letter", "degree-empty", "spec-letters", "spec-zero-den", "spec-no-value",
+         "kappa-letters", "kappa-zero-den", "trials-zero"],
+)
+def test_cli_malformed_value_is_usage_error(tmp_path, flag, argv):
+    if argv[0] == "monodromy":
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"segments": [{"from": [[0.3, 0.0]], "to": [[0.0, 0.3]]}]}))
+        argv += ("--path", str(path))
+    res = _run_cli(*argv)
+    _assert_one_line_error(res, 2, "usage error: ")
+    assert flag in res.stderr
+
+
+def test_cli_sampling_flags_belong_to_qc_check():
+    assert _run_cli("verify-gl", "--n", "2", "--max-degree", "1", "--mode", "random-eval").returncode == 2
+    res = _run_cli("qc-check", "--n", "3", "--degree", "1,0", "--mode", "random-eval", "--trials", "4", "--seed", "3")
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_outputs_identical_across_hash_seeds(tmp_path):

@@ -33,7 +33,9 @@ from vermalab.shiftarg import (
     quadratic_space_element,
     quantum_context,
 )
-from vermalab.suites import _doubled_commutator_block
+from vermalab import shiftarg
+from vermalab.suites import _doubled_commutator_block, suite_qc
+from vermalab.verma import VermaContext
 
 
 def test_deformation_coefficients_golden():
@@ -54,6 +56,25 @@ def test_qcoefficient_type_carries_indices_and_value():
 def test_qc_rejects_rank_two():
     with pytest.raises(Exception, match="Picard rank"):
         lazy_qc(quantum_context(2), 2)
+
+
+def test_suite_qc_builds_each_qc_block_once(monkeypatch):
+    # every cache hangs off a context, so an empty registry starts cold
+    monkeypatch.setattr(VermaContext, "_instances", {})
+    original = shiftarg.lazy_qc
+    counted, builds = [], []
+
+    def counting_lazy_qc(ctx, k):
+        op = original(ctx, k)
+        if not any(op is seen for seen in counted):
+            counted.append(op)
+            build = op.builder
+            op.builder = lambda d: builds.append((k, d)) or build(d)
+        return op
+
+    monkeypatch.setattr(shiftarg, "lazy_qc", counting_lazy_qc)
+    suite_qc(4, "1,1,0")
+    assert sorted(builds) == [(2, (1, 1, 0)), (3, (1, 1, 0))]
 
 
 def test_qc_degenerates_at_q_zero():

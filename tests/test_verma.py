@@ -3,12 +3,17 @@ constants of the rank-n action, all exact."""
 
 import pytest
 
+from vermalab.globalverma import GlobalContext, lazy_global
+from vermalab.gtalg import lazy_casimir, lazy_tilde_casimir
 from vermalab.patterns import Pattern, degree_vectors_upto
+from vermalab.ring import classical_ring
+from vermalab.shiftarg import lazy_qc, quantum_context
 from vermalab.verma import (
     VermaContext,
     WindowError,
     check_gl_relations,
     gl_relation_defect,
+    lazy_cartan,
     lazy_eij,
     op_cartan,
     op_e,
@@ -16,6 +21,7 @@ from vermalab.verma import (
     op_f,
     root_shift,
 )
+from vermalab.whittaker import whittaker_component
 
 
 def ctx2():
@@ -165,3 +171,23 @@ def test_e_support_changes_one_entry():
                     if src[cc].entry(ii, jj) != tgt[r].entry(ii, jj)
                 ]
                 assert len(diffs) == 1 and diffs[0][0] == i
+
+
+def test_context_memoises_named_operators_and_solvers():
+    ctx = VermaContext.get(3)
+    qctx = quantum_context(3)
+    assert lazy_eij(ctx, 1, 3) is lazy_eij(ctx, 1, 3)
+    assert lazy_cartan(ctx, 2) is lazy_cartan(ctx, 2)
+    assert lazy_casimir(ctx, 2) is lazy_casimir(ctx, 2)
+    assert lazy_qc(qctx, 2) is lazy_qc(qctx, 2)
+    assert lazy_tilde_casimir(qctx, 2) is lazy_tilde_casimir(qctx, 2)
+    # building QC_2 on a block must not relabel the shared operators it sums
+    lazy_qc(qctx, 2).block((1, 1))
+    assert lazy_qc(qctx, 2).label == "QC2"
+    assert lazy_tilde_casimir(qctx, 2).label == "tildeCas2"
+    assert lazy_casimir(qctx, 2).label == "Cas2"
+    gctx = GlobalContext.get(2)
+    assert gctx is GlobalContext.get(2) and gctx.local is VermaContext.get(2)
+    assert lazy_global(gctx, "e", 1, 1) is lazy_global(gctx, "e", 1, 1)
+    # the default ring and the classical ring name one context, so one solver
+    assert whittaker_component(2, (2,)) is whittaker_component(2, (2,), classical_ring(2))
