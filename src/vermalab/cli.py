@@ -36,6 +36,13 @@ class UsageError(VermalabError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every argparse error as a UsageError, reported on one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _fraction(flag: str, text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -45,8 +52,6 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 def _parse_spec(text: str) -> dict[str, Fraction]:
     out = {}
-    if not text:
-        return out
     for chunk in text.split(","):
         if "=" not in chunk:
             raise UsageError(f"bad --spec entry {chunk!r}: needs name=value")
@@ -56,7 +61,7 @@ def _parse_spec(text: str) -> dict[str, Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="verma-lab",
         description="exact operator calculus on the graded module and its verification suites",
     )
@@ -64,11 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--n", type=int, required=True, help="rank")
-        sp.add_argument("--degree", type=str, default=None, help="comma separated degree vector")
-        sp.add_argument("--max-degree", type=int, default=None, help="bound on |d|")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in ("verify-gl", "global-verify"):
+            sp.add_argument("--max-degree", type=int, required=True, help="bound on |d|")
+        elif name == "ktheory":
+            sp.add_argument("--max-degree", type=int, default=3, help="bound on |d|")
+        else:
+            sp.add_argument("--degree", type=str, required=True, help="comma separated degree vector")
+        if name != "patterns":
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", type=str, default=None, help="output file path")
-        sp.add_argument("--spec", type=str, default=None, help="x1=0,x2=1,... rational specialization")
+        if name in ("ring", "monodromy"):
+            sp.add_argument(
+                "--spec", type=str, required=name == "monodromy", help="x1=0,x2=1,... rational specialization"
+            )
         sp.add_argument("--golden", type=str, default=None, help="golden directory")
         sp.add_argument("--bless", action="store_true", help="write new goldens")
         if name == "qc-check":
@@ -91,29 +104,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_degree(args) -> tuple[int, ...]:
-    if args.degree is None:
-        raise UsageError("--degree is required for this subcommand")
     try:
-        return suites._tuple_degree(args.degree)
+        d = suites._tuple_degree(args.degree)
     except ValueError:
         raise UsageError(f"--degree needs comma separated integers, got {args.degree!r}") from None
-
-
-def _require_max_degree(args) -> int:
-    if args.max_degree is None:
-        raise UsageError("--max-degree is required for this subcommand")
-    return args.max_degree
+    if len(d) != args.n - 1 or any(c < 0 for c in d):
+        raise UsageError(
+            f"--degree needs {args.n - 1} nonnegative entries for --n {args.n}, got {args.degree!r}"
+        )
+    return d
 
 
 def run(argv: list[str]) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
     t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
         exit_code = _emit(args, _dispatch(args))
+    except SystemExit as err:  # --help, after printing the help text
+        return err.code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -161,14 +169,13 @@ def _json_text(obj) -> str:
 
 def _dispatch(args) -> list:
     cmd = args.command
-    spec = _parse_spec(args.spec) if args.spec else None
     if cmd == "patterns":
         listing = suites.patterns_listing(
-            args.n, _require_degree(args), include_global=getattr(args, "global_points", False)
+            args.n, _require_degree(args), include_global=args.global_points
         )
         return [("data", f"patterns_n{args.n}.json", _json_text(listing))]
     if cmd == "verify-gl":
-        rep = suites.suite_verify_gl(args.n, _require_max_degree(args))
+        rep = suites.suite_verify_gl(args.n, args.max_degree)
         return [("report", f"verify_gl_n{args.n}.{args.format}", (rep, rep.render_text()))]
     if cmd == "gt-spectrum":
         rep, table = suites.suite_gt_spectrum(args.n, _require_degree(args), args.generators)
@@ -183,6 +190,7 @@ def _dispatch(args) -> list:
             write_text(args.out + ".component", _json_text(comp))
         return [("report", f"whittaker_n{args.n}.{args.format}", (rep, rep.render_text()))]
     if cmd == "ring":
+        spec = _parse_spec(args.spec) if args.spec is not None else None
         rep, table = suites.suite_ring(args.n, _require_degree(args), spec)
         return [
             ("report", f"ring_n{args.n}.{args.format}", (rep, rep.render_text())),
@@ -198,13 +206,11 @@ def _dispatch(args) -> list:
         rep = suites.suite_flatness(args.n, _require_degree(args))
         return [("report", f"flatness_n{args.n}.{args.format}", (rep, rep.render_text()))]
     if cmd == "monodromy":
-        if spec is None:
-            raise UsageError("--spec is required for monodromy (x and h values)")
         segments = _load_segments(args.path)
         rep, out = suites.suite_monodromy(
             args.n,
             _require_degree(args),
-            spec,
+            _parse_spec(args.spec),
             _fraction("--kappa", args.kappa),
             segments,
             tolerance=args.tolerance,
@@ -214,11 +220,10 @@ def _dispatch(args) -> list:
             ("data", f"monodromy_matrix_n{args.n}.json", _json_text(out)),
         ]
     if cmd == "global-verify":
-        rep = suites.suite_global(args.n, _require_max_degree(args))
+        rep = suites.suite_global(args.n, args.max_degree)
         return [("report", f"global_n{args.n}.{args.format}", (rep, rep.render_text()))]
     if cmd == "ktheory":
-        bound = args.max_degree if args.max_degree is not None else 3
-        rep, table = suites.suite_ktheory(args.n, bound)
+        rep, table = suites.suite_ktheory(args.n, args.max_degree)
         payloads = [("report", f"ktheory_n{args.n}.{args.format}", (rep, rep.render_text()))]
         if args.out:
             extra = suites.ktheory_csv(table) if args.format == "csv" else _json_text(table)

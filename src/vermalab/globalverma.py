@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 
 from .field import FieldElem, VermalabError
-from .gtalg import _esym
+from .gtalg import _chern_part, chern_weights
 from .linalg import SparseMatrix
 from .patterns import (
     DegreeVector,
     GlobalFixedPoint,
+    _first_collision,
     degree_valid,
     degree_vectors_upto,
     enumerate_global_fixed_points,
@@ -210,7 +211,9 @@ def check_delta_sums(n: int, dmax: int):
 # -- symmetric group action ---------------------------------------------------
 
 
-def sn_action(sigma_prime: tuple[int, ...], degree: DegreeVector, vec: dict[GlobalFixedPoint, FieldElem], n: int | None = None) -> dict[GlobalFixedPoint, FieldElem]:
+def sn_action(
+    sigma_prime: tuple[int, ...], degree: DegreeVector, vec: dict[GlobalFixedPoint, FieldElem]
+) -> dict[GlobalFixedPoint, FieldElem]:
     """sigma'(f [sigma, p0, pinf]) = f^{sigma'} [sigma' sigma, p0, pinf]."""
     out: dict[GlobalFixedPoint, FieldElem] = {}
     for fp, coeff in vec.items():
@@ -354,29 +357,12 @@ def check_global_whittaker(n: int, d: DegreeVector):
 # -- global Chern eigenvalues --------------------------------------------------
 
 
-def global_chern_weights(fp: GlobalFixedPoint, i: int, which: str) -> list[FieldElem]:
-    ctx = VermaContext.get(fp.n)
-    pat = fp.p0 if which == "zero" else fp.pinf
-    out = []
-    for j in range(1, i + 1):
-        out.append(-ctx.x[j] + ctx.h * pat.entry(i, j))
-    return out
-
-
 def eig_global_chern(fp: GlobalFixedPoint, i: int, j: int, part: str) -> FieldElem:
     """Lemma-style closed form: both deviation sets enter with plus signs
     and the whole thing is sigma-substituted."""
     if not 1 <= j <= i <= fp.n - 1:
         raise VermalabError("chern indices out of range")
-    ctx = VermaContext.get(fp.n)
-    e0 = _esym(global_chern_weights(fp, i, "zero"), j, ctx.ring)
-    einf = _esym(global_chern_weights(fp, i, "inf"), j, ctx.ring)
-    if part == "diag":
-        val = (e0 + einf) / 2
-    elif part == "kunneth":
-        val = ctx.hinv * (einf - e0) / 2
-    else:
-        raise VermalabError(f"unknown chern part {part}")
+    val = _chern_part(VermaContext.get(fp.n), chern_weights(fp.p0, i), chern_weights(fp.pinf, i), j, part)
     return val.permute_x(fp.sigma)
 
 
@@ -427,10 +413,7 @@ def global_joint_chern_spectrum(n: int, d: DegreeVector):
 def check_global_separation(n: int, d: DegreeVector):
     """(vacuous, separated, witness) for the global Chern spectrum."""
     _, table = global_joint_chern_spectrum(n, d)
-    fps = sorted(table, key=GlobalFixedPoint.sort_key)
-    if len(fps) <= 1:
+    if len(table) <= 1:
         return True, True, None
-    for a, b in itertools.combinations(fps, 2):
-        if all((x - y).is_zero() for x, y in zip(table[a], table[b])):
-            return False, False, (a, b)
-    return False, True, None
+    pair = _first_collision(table, key=GlobalFixedPoint.sort_key)
+    return False, pair is None, pair

@@ -14,8 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .field import FieldElem, VermalabError
-from .patterns import DegreeVector, Pattern, gt_pattern
-from .ring import PolyRing
+from .patterns import DegreeVector, Pattern, _first_collision, gt_pattern
 from .verma import (
     GradedOperator,
     VermaContext,
@@ -34,19 +33,6 @@ class JointSpectrum:
         self.degree = tuple(degree)
         self.labels = list(labels)
         self.table = table
-
-    def separated_pairs(self) -> list[tuple[Pattern, Pattern, bool]]:
-        pats = sorted(self.table, key=lambda p: p.flat)
-        out = []
-        for a, b in itertools.combinations(pats, 2):
-            distinct = any(
-                not (x - y).is_zero() for x, y in zip(self.table[a], self.table[b])
-            )
-            out.append((a, b, distinct))
-        return out
-
-    def is_separated(self) -> bool:
-        return all(ok for _, _, ok in self.separated_pairs())
 
 
 # -- assembled operators ----------------------------------------------------
@@ -80,26 +66,24 @@ def lazy_tilde_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     return op
 
 
-def op_casimir(n: int, k: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_casimir(n: int, k: int, window) -> GradedOperator:
     if not 1 <= k <= n:
         raise VermalabError(f"casimir index {k} out of range")
-    ctx = VermaContext.get(n, ring)
-    return lazy_casimir(ctx, k).snapshot(window)
+    return lazy_casimir(VermaContext.get(n), k).snapshot(window)
 
 
-def op_tilde_casimir(n: int, k: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_tilde_casimir(n: int, k: int, window) -> GradedOperator:
     if not 1 <= k <= n:
         raise VermalabError(f"casimir index {k} out of range")
-    ctx = VermaContext.get(n, ring)
-    return lazy_tilde_casimir(ctx, k).snapshot(window)
+    return lazy_tilde_casimir(VermaContext.get(n), k).snapshot(window)
 
 
 # -- closed-form eigenvalues ----------------------------------------------
 
 
-def eig_casimir(p: Pattern, k: int, ring: PolyRing | None = None) -> FieldElem:
+def eig_casimir(p: Pattern, k: int) -> FieldElem:
     """sum_j lam_kj (lam_kj + k - 2j + 1) over the pattern's row k."""
-    gt = gt_pattern(p, ring)
+    gt = gt_pattern(p)
     total = None
     for j in range(1, k + 1):
         lam = gt.value(k, j)
@@ -108,9 +92,9 @@ def eig_casimir(p: Pattern, k: int, ring: PolyRing | None = None) -> FieldElem:
     return total
 
 
-def eig_tilde_casimir(p: Pattern, k: int, ring: PolyRing | None = None) -> FieldElem:
+def eig_tilde_casimir(p: Pattern, k: int) -> FieldElem:
     """sum_j 2 (1 - d_kj) x_j / h + d_kj (d_kj - 1)."""
-    ctx = VermaContext.get(p.n, ring)
+    ctx = VermaContext.get(p.n)
     total = ctx.zero
     for j in range(1, k + 1):
         dkj = p.entry(k, j)
@@ -118,11 +102,11 @@ def eig_tilde_casimir(p: Pattern, k: int, ring: PolyRing | None = None) -> Field
     return total
 
 
-def eig_det_bundle(p: Pattern, k: int, ring: PolyRing | None = None) -> FieldElem:
+def eig_det_bundle(p: Pattern, k: int) -> FieldElem:
     """sum_j (1 - d_kj) x_j + d_kj (d_kj - 1) h / 2."""
     if not 1 <= k <= p.n - 1:
         raise VermalabError(f"determinant bundle index {k} out of range")
-    ctx = VermaContext.get(p.n, ring)
+    ctx = VermaContext.get(p.n)
     total = ctx.zero
     for j in range(1, k + 1):
         dkj = p.entry(k, j)
@@ -140,10 +124,10 @@ def _esym(values: list[FieldElem], j: int, ring) -> FieldElem:
     return total
 
 
-def chern_weights(p: Pattern, i: int, ring: PolyRing | None = None, at_zero: bool = True) -> list[FieldElem]:
+def chern_weights(p: Pattern, i: int, at_zero: bool = True) -> list[FieldElem]:
     """Equivariant weights of the rank-i tautological fiber over the point
     0 (deviations included) or infinity (bare -x weights)."""
-    ctx = VermaContext.get(p.n, ring)
+    ctx = VermaContext.get(p.n)
     out = []
     for j in range(1, i + 1):
         w = -ctx.x[j]
@@ -153,14 +137,11 @@ def chern_weights(p: Pattern, i: int, ring: PolyRing | None = None, at_zero: boo
     return out
 
 
-def eig_chern(p: Pattern, i: int, j: int, part: str, ring: PolyRing | None = None) -> FieldElem:
-    """Diagonal or Kunneth component of the j-th Chern class of the rank-i
-    tautological bundle: (e0 + einf)/2 resp. (einf - e0) / (2h)."""
-    if not 1 <= j <= i <= p.n - 1:
-        raise VermalabError("chern indices out of range")
-    ctx = VermaContext.get(p.n, ring)
-    e_inf = _esym(chern_weights(p, i, ring, at_zero=False), j, ctx.ring)
-    e_zero = _esym(chern_weights(p, i, ring, at_zero=True), j, ctx.ring)
+def _chern_part(ctx: VermaContext, zero_weights, inf_weights, j: int, part: str) -> FieldElem:
+    """Diagonal (e0 + einf)/2 or Kunneth (einf - e0)/(2h) combination of
+    the j-th elementary symmetric functions of the weights at 0 and infinity."""
+    e_inf = _esym(inf_weights, j, ctx.ring)
+    e_zero = _esym(zero_weights, j, ctx.ring)
     if part == "diag":
         return (e_inf + e_zero) / 2
     if part == "kunneth":
@@ -168,11 +149,20 @@ def eig_chern(p: Pattern, i: int, j: int, part: str, ring: PolyRing | None = Non
     raise VermalabError(f"unknown chern part: {part}")
 
 
-def chern_h_divisible(p: Pattern, i: int, j: int, ring: PolyRing | None = None) -> bool:
+def eig_chern(p: Pattern, i: int, j: int, part: str) -> FieldElem:
+    """Diagonal or Kunneth component of the j-th Chern class of the rank-i
+    tautological bundle: (e0 + einf)/2 resp. (einf - e0) / (2h)."""
+    if not 1 <= j <= i <= p.n - 1:
+        raise VermalabError("chern indices out of range")
+    ctx = VermaContext.get(p.n)
+    return _chern_part(ctx, chern_weights(p, i), chern_weights(p, i, at_zero=False), j, part)
+
+
+def chern_h_divisible(p: Pattern, i: int, j: int) -> bool:
     """einf - e0 must vanish at h = 0, i.e. be divisible by h."""
-    ctx = VermaContext.get(p.n, ring)
-    e_inf = _esym(chern_weights(p, i, ring, at_zero=False), j, ctx.ring)
-    e_zero = _esym(chern_weights(p, i, ring, at_zero=True), j, ctx.ring)
+    ctx = VermaContext.get(p.n)
+    e_inf = _esym(chern_weights(p, i, at_zero=False), j, ctx.ring)
+    e_zero = _esym(chern_weights(p, i), j, ctx.ring)
     diff = e_inf - e_zero
     return diff.substitute({"h": 0}).is_zero()
 
@@ -180,10 +170,10 @@ def chern_h_divisible(p: Pattern, i: int, j: int, ring: PolyRing | None = None) 
 # -- verification helpers -----------------------------------------------------
 
 
-def casimir_diagonality_defects(n: int, k: int, d: DegreeVector, ring: PolyRing | None = None, corrected: bool = False):
+def casimir_diagonality_defects(n: int, k: int, d: DegreeVector, corrected: bool = False):
     """Compare the assembled (corrected) Casimir block on V_d with the
     closed-form diagonal; returns (offdiag_ok, eigen_ok, witness)."""
-    ctx = VermaContext.get(n, ring)
+    ctx = VermaContext.get(n)
     op = lazy_tilde_casimir(ctx, k) if corrected else lazy_casimir(ctx, k)
     block = op.block(tuple(d))
     basis = ctx.basis(tuple(d))
@@ -198,7 +188,7 @@ def casimir_diagonality_defects(n: int, k: int, d: DegreeVector, ring: PolyRing 
             break
     for idx, p in enumerate(basis):
         got = block.get(idx, idx)
-        want = eig(p, k, ring)
+        want = eig(p, k)
         if not (got - want).is_zero():
             eigen_ok = False
             witness = witness or f"pattern {p.text()}: {got.text()} != {want.text()}"
@@ -206,48 +196,46 @@ def casimir_diagonality_defects(n: int, k: int, d: DegreeVector, ring: PolyRing 
     return offdiag_ok, eigen_ok, witness
 
 
-def joint_spectrum(n: int, d: DegreeVector, generators: str, ring: PolyRing | None = None) -> JointSpectrum:
+def joint_spectrum(n: int, d: DegreeVector, generators: str) -> JointSpectrum:
     """Eigenvalue tuples per pattern for one of the named generator sets.
 
     ``tildeCas``: corrected Casimirs, k = 2..n-1.
     ``detBundles``: determinant classes with k >= 2, d_k != 0 != d_{k-1}.
     ``chern``: all Kunneth and diagonal Chern components.
     """
-    ctx = VermaContext.get(n, ring)
+    ctx = VermaContext.get(n)
     basis = ctx.basis(tuple(d))
     labels: list[str] = []
     funcs = []
     if generators == "tildeCas":
         for k in range(2, n):
             labels.append(f"tildeCas{k}")
-            funcs.append(lambda p, k=k: eig_tilde_casimir(p, k, ring))
+            funcs.append(lambda p, k=k: eig_tilde_casimir(p, k))
     elif generators == "detBundles":
         for k in range(2, n):
             if d[k - 1] != 0 and d[k - 2] != 0:
                 labels.append(f"c1(D{k})")
-                funcs.append(lambda p, k=k: eig_det_bundle(p, k, ring))
+                funcs.append(lambda p, k=k: eig_det_bundle(p, k))
     elif generators == "detBundlesAll":
         for k in range(1, n):
             labels.append(f"c1(D{k})")
-            funcs.append(lambda p, k=k: eig_det_bundle(p, k, ring))
+            funcs.append(lambda p, k=k: eig_det_bundle(p, k))
     elif generators == "chern":
         for i in range(1, n):
             for j in range(1, i + 1):
                 for part in ("diag", "kunneth"):
                     labels.append(f"c{j}(W{i})[{part}]")
-                    funcs.append(lambda p, i=i, j=j, part=part: eig_chern(p, i, j, part, ring))
+                    funcs.append(lambda p, i=i, j=j, part=part: eig_chern(p, i, j, part))
     else:
         raise VermalabError(f"unknown generator set: {generators}")
     table = {p: tuple(f(p) for f in funcs) for p in basis}
     return JointSpectrum(tuple(d), labels, table)
 
 
-def check_spectrum_separation(n: int, d: DegreeVector, generators: str, ring: PolyRing | None = None):
+def check_spectrum_separation(n: int, d: DegreeVector, generators: str):
     """(vacuous, separated, witness_pair) for the named generator set."""
-    spec = joint_spectrum(n, d, generators, ring)
+    spec = joint_spectrum(n, d, generators)
     if len(spec.table) <= 1 or not spec.labels:
         return True, True, None
-    for a, b, ok in spec.separated_pairs():
-        if not ok:
-            return False, False, (a, b)
-    return False, True, None
+    pair = _first_collision(spec.table)
+    return False, pair is None, pair

@@ -13,12 +13,11 @@ constants (see ``lowering_prefactor`` and ``raising_prefactor``).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .field import VermalabError
 from .laurent import ExponentQuadratic, LaurentMonomial, VPowerProduct
-from .patterns import DegreeVector, Pattern, enumerate_patterns
+from .patterns import DegreeVector, Pattern, _first_collision, enumerate_patterns
 
 
 def eig_quantum_cartan(p: Pattern, i: int) -> LaurentMonomial:
@@ -173,8 +172,5 @@ def check_K_separation(n: int, d: DegreeVector):
     ks = [k for k in range(2, n) if d[k - 1] != 0 and d[k - 2] != 0]
     if len(basis) <= 1 or not ks:
         return True, True, None
-    table = {p: tuple(eig_det_class_K(p, k) for k in ks) for p in basis}
-    for a, b in itertools.combinations(basis, 2):
-        if table[a] == table[b]:
-            return False, False, (a, b)
-    return False, True, None
+    pair = _first_collision({p: tuple(eig_det_class_K(p, k) for k in ks) for p in basis})
+    return False, pair is None, pair

@@ -40,12 +40,6 @@ class LaurentMonomial:
             tuple(a + b for a, b in zip(self.texp, other.texp)), self.vexp + other.vexp
         )
 
-    def __pow__(self, k: int) -> "LaurentMonomial":
-        return LaurentMonomial(tuple(a * k for a in self.texp), self.vexp * k)
-
-    def inverse(self) -> "LaurentMonomial":
-        return self**-1
-
     def is_one(self) -> bool:
         return self.vexp == 0 and all(a == 0 for a in self.texp)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .field import FieldElem, VermalabError
-from .ring import MultiPoly, PolyRing, classical_ring
+from .ring import MultiPoly, classical_ring
 
 DegreeVector = tuple[int, ...]
 
@@ -53,9 +53,6 @@ class Pattern:
     def degree(self) -> DegreeVector:
         return tuple(sum(row) for row in self.rows)
 
-    def size(self) -> int:
-        return sum(self._flat)
-
     def bump(self, i: int, j: int, delta: int) -> "Pattern | None":
         """Pattern with d_ij changed by delta, or None if invalid."""
         rows = [list(r) for r in self.rows]
@@ -82,6 +79,16 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern({self.text()})"
+
+
+def _first_collision(table: dict, key=None) -> tuple | None:
+    """The first pair of points with equal value tuples, in combinations
+    order over the points sorted by ``key``, or None when all differ.
+    Tuples of canonical field elements or monomials compare exactly."""
+    for a, b in itertools.combinations(sorted(table, key=key), 2):
+        if table[a] == table[b]:
+            return a, b
+    return None
 
 
 def degree_vectors_upto(n: int, bound: int) -> list[DegreeVector]:
@@ -158,9 +165,9 @@ class GTPattern:
         return self.values[(i, j)]
 
 
-def gt_pattern(p: Pattern, ring: PolyRing | None = None) -> GTPattern:
+def gt_pattern(p: Pattern) -> GTPattern:
     n = p.n
-    ring = ring or classical_ring(n)
+    ring = classical_ring(n)
     hpoly = MultiPoly.var(ring, "h")
     values: dict[tuple[int, int], FieldElem] = {}
     for i in range(1, n + 1):

@@ -210,18 +210,6 @@ class MultiPoly:
             return MultiPoly(self.ring, {})
         return MultiPoly(self.ring, {e: k * c for e, k in self.terms.items()})
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def derivative(self, var: int) -> "MultiPoly":
         out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.terms.items():

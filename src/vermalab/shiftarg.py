@@ -27,7 +27,7 @@ import numpy as np
 from .field import FieldElem, VermalabError
 from .gtalg import lazy_tilde_casimir
 from .patterns import DegreeVector
-from .ring import PolyRing, quantum_ring
+from .ring import MultiPoly, quantum_ring
 from .verma import GradedOperator, VermaContext, _named_operator, lazy_eij, operator_sum
 
 
@@ -47,22 +47,21 @@ class QCoefficient:
 
     __slots__ = ("i", "k", "j", "value")
 
-    def __init__(self, n: int, i: int, k: int, j: int, ring: PolyRing | None = None):
+    def __init__(self, n: int, i: int, k: int, j: int):
         self.i = i
         self.k = k
         self.j = j
-        self.value = q_coefficient(n, i, k, j, ring)
+        self.value = q_coefficient(n, i, k, j)
 
     def __repr__(self):
         return f"QCoefficient(i={self.i}, k={self.k}, j={self.j}, {self.value.text()})"
 
 
-def q_coefficient(n: int, i: int, k: int, j: int, ring: PolyRing | None = None) -> FieldElem:
+def q_coefficient(n: int, i: int, k: int, j: int) -> FieldElem:
     """The deformation coefficient c_ikj for i < k < j <= n."""
     if not (1 <= i < k < j <= n):
         raise VermalabError(f"need i < k < j <= n, got ({i},{k},{j})")
-    ring = ring or quantum_ring(n)
-    from .ring import MultiPoly
+    ring = quantum_context(n).ring
 
     def qprod(l: int) -> MultiPoly:
         # q_l q_{l+1} ... q_{j-1}; empty product is 1; q_n reads as 1
@@ -95,7 +94,7 @@ def lazy_qc(ctx: VermaContext, k: int) -> GradedOperator:
     terms = [lazy_tilde_casimir(ctx, k)]
     for i in range(1, k):
         for j in range(k + 1, n + 1):
-            coeff = q_coefficient(n, i, k, j, ctx.ring)
+            coeff = q_coefficient(n, i, k, j)
             terms.append(
                 lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i)).scale(coeff)
             )
@@ -108,19 +107,16 @@ def quadratic_space_element(
     n: int,
     mu: list[FieldElem | int | Fraction],
     h: list[FieldElem | int | Fraction],
-    window=None,
-    ring: PolyRing | None = None,
 ) -> GradedOperator:
     """sum over positive roots (i < j) of (h_i - h_j)/(mu_i - mu_j) E_ij E_ji.
 
     mu must be regular: the pairing with every positive root is nonzero.
     The family with fixed mu commutes and is invariant under scaling mu.
     """
-    ring = ring or quantum_ring(n)
-    ctx = VermaContext.get(n, ring)
+    ctx = quantum_context(n)
 
     def coerce(v):
-        return v if isinstance(v, FieldElem) else FieldElem.from_rational(ring, v)
+        return v if isinstance(v, FieldElem) else FieldElem.from_rational(ctx.ring, v)
 
     mu = [coerce(v) for v in mu]
     h = [coerce(v) for v in h]
@@ -141,15 +137,13 @@ def quadratic_space_element(
     else:
         op = operator_sum(terms)
     op.label = "Qmu"
-    if window is not None:
-        return op.snapshot(window)
     return op
 
 
-def paper_mu_weights(n: int, ring: PolyRing | None = None) -> list[FieldElem]:
+def paper_mu_weights(n: int) -> list[FieldElem]:
     """mu(q) with coordinates mu_m = sum_{i=m}^{n-1} q_{i+1}...q_{n-1}
     (the q_n = 1 normalization folded in)."""
-    ring = ring or quantum_ring(n)
+    ring = quantum_context(n).ring
     out = []
     for m in range(1, n + 1):
         acc = FieldElem.zero(ring)
@@ -162,11 +156,11 @@ def paper_mu_weights(n: int, ring: PolyRing | None = None) -> list[FieldElem]:
     return out
 
 
-def paper_h_weights(n: int, k: int, ring: PolyRing | None = None) -> list[FieldElem]:
+def paper_h_weights(n: int, k: int) -> list[FieldElem]:
     """h_k truncates mu at the k-th fundamental coweight: coordinates
     mu_m - mu_k for m <= k and 0 beyond."""
-    ring = ring or quantum_ring(n)
-    mu = paper_mu_weights(n, ring)
+    ring = quantum_context(n).ring
+    mu = paper_mu_weights(n)
     out = []
     for m in range(1, n + 1):
         if m <= k:
@@ -346,13 +340,17 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
+_LOCAL_TOL = 1e-10  # local error tolerance of the main run; the control run uses 1/100 of it
+_MAX_STEPS = 200_000  # step budget per segment
+_CIRCLE_PIECES = 6  # segments of a circle_loop; a full turn needs at least 3
 
-def _transport_segment(spec: ConnectionSpec, seg: Segment, y: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
+
+def _transport_segment(spec: ConnectionSpec, seg: Segment, y: np.ndarray, tol: float) -> np.ndarray:
     t = 0.0
     hstep = 0.05
     steps = 0
     while t < 1.0:
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise VermalabError("step budget exhausted before tolerance was met")
         hstep = min(hstep, 1.0 - t)
         ks = []
@@ -385,37 +383,33 @@ def _transport_segment(spec: ConnectionSpec, seg: Segment, y: np.ndarray, tol: f
     return y
 
 
-def monodromy_transport(
-    spec: ConnectionSpec,
-    path: list[Segment],
-    local_tol: float = 1e-10,
-    max_steps: int = 200_000,
-) -> tuple[np.ndarray, float]:
+def monodromy_transport(spec: ConnectionSpec, path: list[Segment]) -> tuple[np.ndarray, float]:
     """Parallel transport of the identity along the path.
 
     Returns (matrix, error_estimate); the estimate is the max-norm gap to
     a control run at local tolerance /100, a step-refinement bound.
     """
     runs = []
-    for tol in (local_tol, local_tol / 100.0):
+    for tol in (_LOCAL_TOL, _LOCAL_TOL / 100.0):
         y = np.eye(spec.dim, dtype=complex)
         for seg in path:
-            y = _transport_segment(spec, seg, y, tol, max_steps)
+            y = _transport_segment(spec, seg, y, tol)
         runs.append(y)
     est = float(np.max(np.abs(runs[0] - runs[1])))
     return runs[1], est
 
 
-def circle_loop(center_abs: list[complex], which: int, radius: float, pieces: int = 6, start_point=None) -> list[Segment]:
-    """A positively oriented circle of the chosen coordinate around 0,
-    other coordinates held fixed; optionally joined to a base point."""
+def circle_loop(center_abs: list[complex], which: int, radius: float, start_point=None) -> list[Segment]:
+    """A positively oriented circle of the chosen coordinate around 0 in
+    ``_CIRCLE_PIECES`` segments, other coordinates held fixed; optionally
+    joined to a base point."""
     pts = []
-    for s in range(pieces + 1):
-        angle = 2 * math.pi * s / pieces
+    for s in range(_CIRCLE_PIECES + 1):
+        angle = 2 * math.pi * s / _CIRCLE_PIECES
         q = list(center_abs)
         q[which] = radius * cmath.exp(1j * angle)
         pts.append(q)
-    segs = [Segment(pts[s], pts[s + 1]) for s in range(pieces)]
+    segs = [Segment(pts[s], pts[s + 1]) for s in range(_CIRCLE_PIECES)]
     if start_point is not None:
         lead = Segment(start_point, pts[0])
         tail = Segment(pts[-1], start_point)

@@ -353,7 +353,6 @@ def suite_monodromy(
     kappa: Fraction,
     path_segments: list,
     tolerance: float = 1e-6,
-    local_tol: float = 1e-10,
 ) -> tuple[VerificationReport, dict]:
     d = _tuple_degree(degree)
     rep = VerificationReport(
@@ -368,7 +367,7 @@ def suite_monodromy(
     )
     spec = shiftarg.ConnectionSpec(n, d, kappa, specialization)
     segs = [shiftarg.Segment(s["from"], s["to"]) for s in path_segments]
-    mat, est = shiftarg.monodromy_transport(spec, segs, local_tol=local_tol)
+    mat, est = shiftarg.monodromy_transport(spec, segs)
     closed = all(
         abs(a - b) < 1e-12 for a, b in zip(segs[0].start, segs[-1].end)
     )

@@ -346,44 +346,39 @@ class GradedOperator:
 # -- spec-surface factories ---------------------------------------------------
 
 
-def op_cartan(n: int, i: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_cartan(n: int, i: int, window) -> GradedOperator:
     """Diagonal operator with scalar x_i/h + d_{i-1} - d_i + i - 1 on V_d."""
     if not 1 <= i <= n:
         raise VermalabError(f"cartan index {i} out of range")
-    ctx = VermaContext.get(n, ring)
-    op = lazy_cartan(ctx, i)
-    return op.snapshot(window)
+    return lazy_cartan(VermaContext.get(n), i).snapshot(window)
 
 
-def op_e(n: int, i: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_e(n: int, i: int, window) -> GradedOperator:
     if not 1 <= i <= n - 1:
         raise VermalabError(f"raise index {i} out of range")
-    ctx = VermaContext.get(n, ring)
-    return lazy_eij(ctx, i + 1, i).snapshot(window)
+    return lazy_eij(VermaContext.get(n), i + 1, i).snapshot(window)
 
 
-def op_f(n: int, i: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_f(n: int, i: int, window) -> GradedOperator:
     if not 1 <= i <= n - 1:
         raise VermalabError(f"lower index {i} out of range")
-    ctx = VermaContext.get(n, ring)
-    return lazy_eij(ctx, i, i + 1).snapshot(window)
+    return lazy_eij(VermaContext.get(n), i, i + 1).snapshot(window)
 
 
-def op_eij(n: int, i: int, j: int, window, ring: PolyRing | None = None) -> GradedOperator:
+def op_eij(n: int, i: int, j: int, window) -> GradedOperator:
     if not (1 <= i <= n and 1 <= j <= n):
         raise VermalabError("matrix unit indices out of range")
-    ctx = VermaContext.get(n, ring)
-    return lazy_eij(ctx, i, j).snapshot(window)
+    return lazy_eij(VermaContext.get(n), i, j).snapshot(window)
 
 
-def fixed_point_to_eigenbasis_scale(n: int, d: DegreeVector, ring: PolyRing | None = None) -> FieldElem:
+def fixed_point_to_eigenbasis_scale(n: int, d: DegreeVector) -> FieldElem:
     """The documented conversion scalar (-h)^(-|d|) between fixed-point
     classes and the normalized eigenbasis vectors of degree d.
 
     It is exposed as a constant and never applied implicitly anywhere in
     the package: no silent basis change happens behind the matrices.
     """
-    ctx = VermaContext.get(n, ring)
+    ctx = VermaContext.get(n)
     size = sum(d)
     scale = ctx.one
     for _ in range(size):
@@ -454,13 +449,13 @@ def gl_relation_defect(
     return out
 
 
-def check_gl_relations(n: int, dmax: int, ring: PolyRing | None = None):
+def check_gl_relations(n: int, dmax: int):
     """Exact check of [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb for all
     ordered index pairs, on every block of total degree <= dmax.
 
     Returns a list of (label, anchor, ok, witness_text) tuples.
     """
-    ctx = VermaContext.get(n, ring)
+    ctx = VermaContext.get(n)
     degrees = degree_vectors_upto(n, dmax)
     units = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
     results = []

@@ -17,8 +17,7 @@ from fractions import Fraction
 from .field import FieldElem, VermalabError
 from .gtalg import eig_det_bundle, joint_spectrum
 from .linalg import solve_linear, solve_rows, vstack
-from .patterns import DegreeVector, Pattern, degree_valid
-from .ring import PolyRing
+from .patterns import DegreeVector, Pattern, _first_collision, degree_valid
 from .verma import VermaContext
 
 
@@ -55,8 +54,8 @@ class WhittakerComponent:
 class WhittakerSolver:
     """Memoized recursion over degrees; single writer per memo key."""
 
-    def __init__(self, n: int, ring: PolyRing | None = None):
-        self.ctx = VermaContext.get(n, ring)
+    def __init__(self, n: int):
+        self.ctx = VermaContext.get(n)
         self._memo: dict[DegreeVector, WhittakerComponent] = {}
 
     def component(self, d: DegreeVector) -> WhittakerComponent:
@@ -94,13 +93,12 @@ class WhittakerSolver:
         return comp
 
 
-def whittaker_component(n: int, d: DegreeVector, ring: PolyRing | None = None) -> WhittakerComponent:
+def whittaker_component(n: int, d: DegreeVector) -> WhittakerComponent:
     """Component of degree d from the one solver memoised on the context."""
-    ctx = VermaContext.get(n, ring)
-    return ctx._cached(("WhittakerSolver",), lambda: WhittakerSolver(n, ctx.ring)).component(d)
+    return VermaContext.get(n)._cached(("WhittakerSolver",), lambda: WhittakerSolver(n)).component(d)
 
 
-def check_cyclicity(n: int, d: DegreeVector, ring: PolyRing | None = None):
+def check_cyclicity(n: int, d: DegreeVector):
     """(all_nonzero, separated, details) certifying that the diagonal
     subalgebra applied to the Whittaker component spans the weight space.
 
@@ -108,13 +106,12 @@ def check_cyclicity(n: int, d: DegreeVector, ring: PolyRing | None = None):
     joint eigenvalue tuples let Lagrange interpolation reach every basis
     projector, which is the spanning statement.
     """
-    comp = whittaker_component(n, d, ring)
+    comp = whittaker_component(n, d)
     zero_pats = [p for p, v in comp.coefficients.items() if v.is_zero()]
-    spectrum = joint_spectrum(n, d, "tildeCas", ring)
-    dim = len(spectrum.table)
-    separated = dim <= 1 or spectrum.is_separated()
+    spectrum = joint_spectrum(n, d, "tildeCas")
+    separated = _first_collision(spectrum.table) is None
     details = {
-        "dimension": dim,
+        "dimension": len(spectrum.table),
         "zero_coefficients": [p.text() for p in sorted(zero_pats, key=lambda p: p.flat)],
         "separated": separated,
     }
@@ -129,8 +126,7 @@ class SpectrumCollapseError(VermalabError):
         )
 
 
-def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] | None = None,
-                   ring: PolyRing | None = None) -> dict:
+def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] | None = None) -> dict:
     """Multiplication table of the degree-d cohomology ring realized as
     diagonal operators generated by the determinant classes acting on the
     Whittaker component.
@@ -140,14 +136,14 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     basis is selected by rank growth, and each pairwise product is
     expanded over that basis with exact rational coefficients.
     """
-    ctx = VermaContext.get(n, ring)
+    ctx = VermaContext.get(n)
     d = tuple(d)
     basis = ctx.basis(d)
     dim = len(basis)
     gens = [k for k in range(2, n) if d[k - 1] != 0 and d[k - 2] != 0]
     labels = [f"c1(D{k})" for k in gens]
     eig_tables = {
-        label: {p: eig_det_bundle(p, k, ring) for p in basis}
+        label: {p: eig_det_bundle(p, k) for p in basis}
         for label, k in zip(labels, gens)
     }
     out: dict = {
@@ -162,7 +158,7 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
             for label in labels
         },
     }
-    comp = whittaker_component(n, d, ring)
+    comp = whittaker_component(n, d)
     out["whittaker_nonzero"] = all(not v.is_zero() for v in comp.coefficients.values())
     if specialization is None:
         return out
@@ -170,11 +166,10 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     values: dict[str, list[Fraction]] = {}
     for label in labels:
         values[label] = [eig_tables[label][p].evaluate(specialization) for p in basis]
-    tuples = list(zip(*[values[label] for label in labels])) if labels else [()] * dim
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            if tuples[a] == tuples[b]:
-                raise SpectrumCollapseError(basis[a], basis[b])
+    tuples = {p: tuple(values[label][idx] for label in labels) for idx, p in enumerate(basis)}
+    collision = _first_collision(tuples)
+    if collision is not None:
+        raise SpectrumCollapseError(*collision)
     # greedy monomial basis: exponent vectors over the generators, graded-lex
     def monomial_values(expv):
         vals = []

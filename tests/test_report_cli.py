@@ -1,5 +1,6 @@
 """Report determinism, golden machinery, and the command-line contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from vermalab import cli
 from vermalab.report import GoldenMismatch, VerificationReport, golden_diff
 from vermalab.suites import (
     ZeroDecider,
@@ -118,12 +120,60 @@ def test_cli_verify_gl_green():
 
 def test_cli_usage_error():
     res = _run_cli("verify-gl", "--n", "2")
-    assert res.returncode == 2
+    _assert_one_line_error(res, 2, "usage error: ")
 
 
 def test_cli_bad_flag():
     res = _run_cli("verify-gl", "--n", "2", "--max-degree", "1", "--format", "xml")
-    assert res.returncode == 2
+    _assert_one_line_error(res, 2, "usage error: ")
+
+
+# the flags each subcommand registers besides --n, --out, --golden and
+# --bless, which all of them read; a starred flag is required
+_SUBCOMMAND_FLAGS = {
+    "patterns": {"--degree*", "--global"},
+    "verify-gl": {"--max-degree*", "--format"},
+    "gt-spectrum": {"--degree*", "--format", "--generators"},
+    "whittaker": {"--degree*", "--format"},
+    "ring": {"--degree*", "--format", "--spec"},
+    "qc-check": {"--degree*", "--format", "--mode", "--seed", "--trials"},
+    "flatness": {"--degree*", "--format"},
+    "monodromy": {"--degree*", "--format", "--spec*", "--path*", "--kappa", "--tolerance"},
+    "global-verify": {"--max-degree*", "--format"},
+    "ktheory": {"--max-degree", "--format"},
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads(capsys):
+    ap = cli.build_parser()
+    (subparsers,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_SUBCOMMAND_FLAGS)
+    settable = 0
+    for name, sp in subparsers.choices.items():
+        flags = {
+            a.option_strings[-1] + ("*" if a.required else "")
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert flags == {"--n*", "--out", "--golden", "--bless"} | _SUBCOMMAND_FLAGS[name], name
+        settable += len(flags)
+    assert settable == 69
+    assert cli.run(["verify-gl", "--help"]) == 0
+    assert "--max-degree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-gl", "--n", "2", "--max-degree", "1", "--degree", "1"),
+        ("patterns", "--n", "2", "--degree", "1", "--format", "csv"),
+        ("monodromy", "--n", "3", "--degree", "1,1", "--path", "loop.json"),
+        ("ktheory", "--n", "2", "--max-degree", "x"),
+    ],
+    ids=["verify-gl-degree", "patterns-format", "monodromy-no-spec", "max-degree-letter"],
+)
+def test_cli_argparse_error_is_one_line(argv):
+    _assert_one_line_error(_run_cli(*argv), 2, "usage error: ")
 
 
 def test_cli_qc_spec_example():
@@ -192,15 +242,19 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
     [
         ("--degree", ("patterns", "--n", "2", "--degree", "1,x")),
         ("--degree", ("patterns", "--n", "2", "--degree", "1,")),
+        ("--degree", ("patterns", "--n", "3", "--degree", "1")),
+        ("--degree", ("whittaker", "--n", "3", "--degree", "1,2,3")),
+        ("--degree", ("qc-check", "--n", "3", "--degree", "1,-1")),
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=abc,x2=1,x3=2,h=1")),
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=1/0,x2=1,x3=2,h=1")),
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1")),
+        ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "abc")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1/0")),
         ("--trials", ("qc-check", "--n", "3", "--degree", "1,1", "--mode", "random-eval", "--trials", "0")),
     ],
-    ids=["degree-letter", "degree-empty", "spec-letters", "spec-zero-den", "spec-no-value",
-         "kappa-letters", "kappa-zero-den", "trials-zero"],
+    ids=["degree-letter", "degree-empty", "degree-short", "degree-long", "degree-negative", "spec-letters",
+         "spec-zero-den", "spec-no-value", "spec-empty", "kappa-letters", "kappa-zero-den", "trials-zero"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, flag, argv):
     if argv[0] == "monodromy":

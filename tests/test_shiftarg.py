@@ -117,9 +117,7 @@ def test_quadratic_space_regularity_error():
 
 
 def test_quadratic_space_single_root_n2():
-    from vermalab.ring import quantum_ring
-
-    op = quadratic_space_element(2, [3, 1], [1, 0], ring=quantum_ring(2))
+    op = quadratic_space_element(2, [3, 1], [1, 0])
     blk = op.block((1,))
     ctx = quantum_context(2)
     want = (ctx.eij_block(1, 2, (2,)) @ ctx.eij_block(2, 1, (1,))).scale(

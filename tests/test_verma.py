@@ -6,7 +6,6 @@ import pytest
 from vermalab.globalverma import GlobalContext, lazy_global
 from vermalab.gtalg import lazy_casimir, lazy_tilde_casimir
 from vermalab.patterns import Pattern, degree_vectors_upto
-from vermalab.ring import classical_ring
 from vermalab.shiftarg import lazy_qc, quantum_context
 from vermalab.verma import (
     VermaContext,
@@ -189,5 +188,5 @@ def test_context_memoises_named_operators_and_solvers():
     gctx = GlobalContext.get(2)
     assert gctx is GlobalContext.get(2) and gctx.local is VermaContext.get(2)
     assert lazy_global(gctx, "e", 1, 1) is lazy_global(gctx, "e", 1, 1)
-    # the default ring and the classical ring name one context, so one solver
-    assert whittaker_component(2, (2,)) is whittaker_component(2, (2,), classical_ring(2))
+    # the one solver on the context memoises each component
+    assert whittaker_component(2, (2,)) is whittaker_component(2, (2,))
