@@ -31,6 +31,9 @@ SUBCOMMANDS = (
     "ktheory",
 )
 
+# subcommands whose file is data rather than the report; they take no --format
+DATA_COMMANDS = ("patterns", "ring", "monodromy")
+
 
 class UsageError(VermalabError):
     pass
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-degree", type=int, default=3, help="bound on |d|")
         else:
             sp.add_argument("--degree", type=str, required=True, help="comma separated degree vector")
-        if name != "patterns":
+        if name not in DATA_COMMANDS:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", type=str, default=None, help="output file path")
         if name in ("ring", "monodromy"):
@@ -84,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--golden", type=str, default=None, help="golden directory")
         sp.add_argument("--bless", action="store_true", help="write new goldens")
-        if name == "qc-check":
-            sp.add_argument("--mode", choices=("exact", "random-eval"), default="exact")
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--trials", type=int, default=20)
         if name == "patterns":
             sp.add_argument("--global", dest="global_points", action="store_true")
         if name == "gt-spectrum":
@@ -132,32 +131,28 @@ def run(argv: list[str]) -> int:
     return exit_code
 
 
-def _emit(args, payloads: list) -> int:
-    """Print and write the payloads, compare with the golden; the exit code."""
+def _emit(args, result: tuple) -> int:
+    """Print and write one run's result, compare with the golden; the exit code.
+
+    The result is (report or None, file name, file text).  The file is the
+    report in --format, or for DATA_COMMANDS a data file, which goes to
+    stdout when there is no --out.
+    """
+    report, name, text = result
     exit_code = 0
-    produced_name = None
-    produced_text = None
-    for kind, name, text in payloads:
-        if kind == "report":
-            print(text[1], file=sys.stdout)
-            report: VerificationReport = text[0]
-            body = report_text(report, args.format)
-            produced_name, produced_text = name, body
-            if args.out:
-                write_text(args.out, body)
-            if not report.ok():
-                exit_code = 1
-        else:
-            produced_name, produced_text = name, text
-            if args.out:
-                write_text(args.out, text)
-            else:
-                sys.stdout.write(text)
-    if args.golden and produced_text is not None:
-        result = golden_diff(produced_text, args.golden, produced_name, bless=args.bless)
-        print(f"golden: {result['status']}", file=sys.stderr)
-        if result["status"] == "mismatch":
-            for mm in result["mismatches"]:
+    if report is not None:
+        print(report.render_text())
+        if not report.ok():
+            exit_code = 1
+    if args.out:
+        write_text(args.out, text)
+    elif args.command in DATA_COMMANDS:
+        sys.stdout.write(text)
+    if args.golden:
+        diff = golden_diff(text, args.golden, name, bless=args.bless)
+        print(f"golden: {diff['status']}", file=sys.stderr)
+        if diff["status"] == "mismatch":
+            for mm in diff["mismatches"]:
                 print(f"  line {mm['line']}: produced {mm['produced']!r} vs golden {mm['golden']!r}", file=sys.stderr)
             exit_code = 1
     return exit_code
@@ -167,44 +162,42 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _dispatch(args) -> list:
+def _report(args, rep: VerificationReport, stem: str) -> tuple:
+    return rep, f"{stem}_n{args.n}.{args.format}", report_text(rep, args.format)
+
+
+def _dispatch(args) -> tuple:
     cmd = args.command
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
+    if getattr(args, "max_degree", 0) < 0:
+        raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
     if cmd == "patterns":
         listing = suites.patterns_listing(
             args.n, _require_degree(args), include_global=args.global_points
         )
-        return [("data", f"patterns_n{args.n}.json", _json_text(listing))]
+        return None, f"patterns_n{args.n}.json", _json_text(listing)
     if cmd == "verify-gl":
-        rep = suites.suite_verify_gl(args.n, args.max_degree)
-        return [("report", f"verify_gl_n{args.n}.{args.format}", (rep, rep.render_text()))]
+        return _report(args, suites.suite_verify_gl(args.n, args.max_degree), "verify_gl")
     if cmd == "gt-spectrum":
         rep, table = suites.suite_gt_spectrum(args.n, _require_degree(args), args.generators)
-        payloads = [("report", f"gt_spectrum_n{args.n}.{args.format}", (rep, rep.render_text()))]
         if args.out:
             extra = suites.spectrum_csv(table) if args.format == "csv" else _json_text(table)
             write_text(args.out + ".table", extra)
-        return payloads
+        return _report(args, rep, "gt_spectrum")
     if cmd == "whittaker":
         rep, comp = suites.suite_whittaker(args.n, _require_degree(args))
         if args.out:
             write_text(args.out + ".component", _json_text(comp))
-        return [("report", f"whittaker_n{args.n}.{args.format}", (rep, rep.render_text()))]
+        return _report(args, rep, "whittaker")
     if cmd == "ring":
         spec = _parse_spec(args.spec) if args.spec is not None else None
         rep, table = suites.suite_ring(args.n, _require_degree(args), spec)
-        return [
-            ("report", f"ring_n{args.n}.{args.format}", (rep, rep.render_text())),
-            ("data", f"ring_table_n{args.n}.json", _json_text(table)),
-        ]
+        return rep, f"ring_table_n{args.n}.json", _json_text(table)
     if cmd == "qc-check":
-        if args.trials < 1:
-            raise UsageError(f"--trials must be at least 1, got {args.trials}")
-        decider = suites.ZeroDecider(args.mode, args.trials, args.seed)
-        rep = suites.suite_qc(args.n, _require_degree(args), decider)
-        return [("report", f"qc_n{args.n}.{args.format}", (rep, rep.render_text()))]
+        return _report(args, suites.suite_qc(args.n, _require_degree(args)), "qc")
     if cmd == "flatness":
-        rep = suites.suite_flatness(args.n, _require_degree(args))
-        return [("report", f"flatness_n{args.n}.{args.format}", (rep, rep.render_text()))]
+        return _report(args, suites.suite_flatness(args.n, _require_degree(args)), "flatness")
     if cmd == "monodromy":
         segments = _load_segments(args.path)
         rep, out = suites.suite_monodromy(
@@ -215,20 +208,15 @@ def _dispatch(args) -> list:
             segments,
             tolerance=args.tolerance,
         )
-        return [
-            ("report", f"monodromy_n{args.n}.{args.format}", (rep, rep.render_text())),
-            ("data", f"monodromy_matrix_n{args.n}.json", _json_text(out)),
-        ]
+        return rep, f"monodromy_matrix_n{args.n}.json", _json_text(out)
     if cmd == "global-verify":
-        rep = suites.suite_global(args.n, args.max_degree)
-        return [("report", f"global_n{args.n}.{args.format}", (rep, rep.render_text()))]
+        return _report(args, suites.suite_global(args.n, args.max_degree), "global")
     if cmd == "ktheory":
         rep, table = suites.suite_ktheory(args.n, args.max_degree)
-        payloads = [("report", f"ktheory_n{args.n}.{args.format}", (rep, rep.render_text()))]
         if args.out:
             extra = suites.ktheory_csv(table) if args.format == "csv" else _json_text(table)
             write_text(args.out + ".table", extra)
-        return payloads
+        return _report(args, rep, "ktheory")
     raise UsageError(f"unknown subcommand {cmd}")
 
 

@@ -54,6 +54,10 @@ class VerificationReport:
     def add_check(self, label: str, anchor: str, ok: bool, witness: str | None = None):
         self.items.append(ReportItem(label, anchor, PASS if ok else FAIL, witness if not ok else None))
 
+    def add_probe(self, label: str, anchor: str, witness: str | None):
+        """A formula-level probe: a finding when there is a witness, else a pass."""
+        self.add(label, anchor, PASS if witness is None else FINDING, witness)
+
     def ok(self) -> bool:
         return all(item.status != FAIL for item in self.items)
 

@@ -484,7 +484,7 @@ def _interpolate(h: MultiPoly, xi: int, var: int) -> MultiPoly:
     return MultiPoly(h.ring, out)
 
 
-def _heu_gcd(a: MultiPoly, b: MultiPoly, depth: int = 0) -> MultiPoly | None:
+def _heu_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Heuristic gcd of integer-primitive polynomials; the candidate is
     verified by exact division, so a non-None answer is a true common
     divisor and, for practical inputs, the gcd.  The xi sequence is fixed,
@@ -502,7 +502,7 @@ def _heu_gcd(a: MultiPoly, b: MultiPoly, depth: int = 0) -> MultiPoly | None:
         ae = _subst_int(a, var, xi)
         be = _subst_int(b, var, xi)
         if not ae.is_zero() and not be.is_zero():
-            h = _heu_gcd(ae, be, depth + 1)
+            h = _heu_gcd(ae, be)
             if h is not None:
                 cand = _interpolate(h, xi, var)
                 cc = cand.content()

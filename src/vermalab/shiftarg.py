@@ -41,22 +41,6 @@ def quantum_context(n: int) -> VermaContext:
     return VermaContext.get(n, quantum_ring(n))
 
 
-class QCoefficient:
-    """Deformation coefficient c_ikj attached to the root pair (i, j)
-    straddling k; the value lives in the q-subfield."""
-
-    __slots__ = ("i", "k", "j", "value")
-
-    def __init__(self, n: int, i: int, k: int, j: int):
-        self.i = i
-        self.k = k
-        self.j = j
-        self.value = q_coefficient(n, i, k, j)
-
-    def __repr__(self):
-        return f"QCoefficient(i={self.i}, k={self.k}, j={self.j}, {self.value.text()})"
-
-
 def q_coefficient(n: int, i: int, k: int, j: int) -> FieldElem:
     """The deformation coefficient c_ikj for i < k < j <= n."""
     if not (1 <= i < k < j <= n):
@@ -283,6 +267,14 @@ class ConnectionSpec:
             for (r, c), v in block.entries.items():
                 entries[(r, c)] = v.substitute(self.specialization)
             self.blocks[k] = entries
+        # the integrator evaluates at q points only, so x and h must all be set
+        left = set()
+        for entries in self.blocks.values():
+            for v in entries.values():
+                left |= v.num.variables() | v.den.variables()
+        missing = sorted(ctx.ring.names[i] for i in left if ctx.ring.names[i] not in self.qnames)
+        if missing:
+            raise VermalabError(f"assignment misses variables: {', '.join(missing)}")
 
     def matrix_at(self, q: dict[str, complex], k: int) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)

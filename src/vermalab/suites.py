@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from . import gtalg, ktheory, shiftarg, verma, whittaker as whit
-from .field import FieldElem, identity_check
+from .field import FieldElem
 from .globalverma import (
     GlobalContext,
     cartan_from_chern,
@@ -27,7 +27,6 @@ from .globalverma import (
     compose_perm,
     sn_action,
 )
-from .linalg import SparseMatrix
 from .patterns import (
     degree_vectors_upto,
     enumerate_global_fixed_points,
@@ -36,23 +35,6 @@ from .patterns import (
 from .report import FINDING, PASS, VACUOUS, VerificationReport
 from .verma import VermaContext
 from .whittaker import whittaker_component
-
-
-class ZeroDecider:
-    """Routes matrix-entry zero tests through the configured mode."""
-
-    def __init__(self, mode: str = "exact", trials: int = 20, seed: int = 0):
-        self.mode = mode
-        self.trials = trials
-        self.seed = seed
-
-    def matrix_is_zero(self, m: SparseMatrix) -> bool:
-        if self.mode == "exact":
-            return m.is_zero()
-        for _, _, v in m.sorted_entries():
-            if identity_check(v, "random-eval", self.trials, self.seed) == "nonzero":
-                return False
-        return True
 
 
 def _tuple_degree(text_or_tuple) -> tuple[int, ...]:
@@ -251,10 +233,9 @@ def suite_ring(n: int, degree, specialization: dict | None) -> tuple[Verificatio
 # -- deformed family ----------------------------------------------------------------
 
 
-def suite_qc(n: int, degree, decider: ZeroDecider | None = None) -> VerificationReport:
+def suite_qc(n: int, degree) -> VerificationReport:
     d = _tuple_degree(degree)
     rep = VerificationReport("qc-check", {"degree": list(d), "n": n})
-    decider = decider or ZeroDecider()
     if n < 3:
         rep.add("deformed family", "no quantum parameters (Picard rank n-2 = 0)", VACUOUS)
         return rep
@@ -268,21 +249,13 @@ def suite_qc(n: int, degree, decider: ZeroDecider | None = None) -> Verification
     results = shiftarg.check_qc_commutativity(n, d)
     if not results:
         rep.add("family commutativity", "single deformed element; nothing to commute", VACUOUS)
-    nonzero_pairs = []
+    nonzero_pairs = [(k, l) for k, l, is_zero, _ in results if not is_zero]
     for k, l, is_zero, witness in results:
-        if decider.mode != "exact" and not is_zero:
-            # honor the sampling mode for the zero decision as well
-            is_zero = decider.matrix_is_zero(shiftarg.qc_commutator_block(n, k, l, d))
-        if is_zero:
-            rep.add(f"[QC{k},QC{l}] on V_{list(d)}", "deformed family commutes", PASS)
-        else:
-            rep.add(
-                f"[QC{k},QC{l}] on V_{list(d)}",
-                "deformed family commutes",
-                FINDING,
-                f"nonzero {witness}",
-            )
-            nonzero_pairs.append((k, l))
+        rep.add_probe(
+            f"[QC{k},QC{l}] on V_{list(d)}",
+            "deformed family commutes",
+            None if is_zero else f"nonzero {witness}",
+        )
     for k, l in nonzero_pairs:
         blk = _doubled_commutator_block(n, k, l, d)
         status = "vanishes" if blk.is_zero() else "does not vanish"
@@ -295,20 +268,11 @@ def suite_qc(n: int, degree, decider: ZeroDecider | None = None) -> Verification
     # open-question probe: quadratic-space element with the stated weights
     for k in range(2, n):
         diff = shiftarg.qc_vs_quadratic_space(n, k, d)
-        if diff.is_zero():
-            rep.add(
-                f"QC{k} matches quadratic-space element",
-                "pairing normalization probe",
-                PASS,
-            )
-        else:
+        witness = None
+        if not diff.is_zero():
             r, c, v = diff.sorted_entries()[0]
-            rep.add(
-                f"QC{k} matches quadratic-space element",
-                "pairing normalization probe",
-                FINDING,
-                f"difference entry ({r},{c}): {v.text()}",
-            )
+            witness = f"difference entry ({r},{c}): {v.text()}"
+        rep.add_probe(f"QC{k} matches quadratic-space element", "pairing normalization probe", witness)
     return rep
 
 
@@ -336,10 +300,7 @@ def suite_flatness(n: int, degree) -> VerificationReport:
             if label.startswith("C1")
             else "derivative symmetry of the connection"
         )
-        if is_zero:
-            rep.add(label, anchor, PASS)
-        else:
-            rep.add(label, anchor, FINDING, f"nonzero {witness}")
+        rep.add_probe(label, anchor, None if is_zero else f"nonzero {witness}")
     return rep
 
 
@@ -501,40 +462,20 @@ def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
                     "det_classes": [ktheory.eig_det_class_K(p, k).text() for k in range(1, n)],
                 }
             )
-    if tau_ok:
-        rep.add(
-            "tau-quadratic part cancels in the corrected Casimir",
-            "multiplicative correction collapses to a monomial",
-            PASS,
-        )
-    else:
-        # a survivor would falsify the correction bookkeeping; that is a
-        # formula-level outcome, reported rather than failed
-        rep.add(
-            "tau-quadratic part cancels in the corrected Casimir",
-            "multiplicative correction collapses to a monomial",
-            FINDING,
-            "quadratic part survived",
-        )
+    # a surviving quadratic part would falsify the correction bookkeeping;
+    # that is a formula-level outcome, reported rather than failed
+    rep.add_probe(
+        "tau-quadratic part cancels in the corrected Casimir",
+        "multiplicative correction collapses to a monomial",
+        None if tau_ok else "quadratic part survived",
+    )
     rep.add_check(
         "squared determinant class inverts the corrected Casimir",
         "det^2 * corrected = 1 on every pattern",
         square_witness is None,
         square_witness,
     )
-    if integrality_witness is None:
-        rep.add(
-            "basis-change v-exponent integrality",
-            "half-integer sums cancel",
-            PASS,
-        )
-    else:
-        rep.add(
-            "basis-change v-exponent integrality",
-            "half-integer sums cancel",
-            FINDING,
-            integrality_witness,
-        )
+    rep.add_probe("basis-change v-exponent integrality", "half-integer sums cancel", integrality_witness)
     sep_all = True
     any_nonvacuous = False
     for d in degree_vectors_upto(n, max_degree):

@@ -45,14 +45,6 @@ def test_deformation_coefficients_golden():
     assert q_coefficient(4, 2, 3, 4).text() == "(q3)/(q3 + 1)"
 
 
-def test_qcoefficient_type_carries_indices_and_value():
-    from vermalab.shiftarg import QCoefficient
-
-    qc = QCoefficient(4, 1, 2, 4)
-    assert (qc.i, qc.k, qc.j) == (1, 2, 4)
-    assert qc.value == q_coefficient(4, 1, 2, 4)
-
-
 def test_qc_rejects_rank_two():
     with pytest.raises(Exception, match="Picard rank"):
         lazy_qc(quantum_context(2), 2)
