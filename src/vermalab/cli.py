@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -85,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--spec", type=str, required=name == "monodromy", help="x1=0,x2=1,... rational specialization"
             )
-        sp.add_argument("--golden", type=str, default=None, help="golden directory")
-        sp.add_argument("--bless", action="store_true", help="write new goldens")
+        sp.add_argument("--golden", type=str, default=None, help="golden file to compare the produced file with")
+        sp.add_argument("--bless", action="store_true", help="write the produced file to the --golden file")
         if name == "patterns":
             sp.add_argument("--global", dest="global_points", action="store_true")
         if name == "gt-spectrum":
@@ -134,11 +136,11 @@ def run(argv: list[str]) -> int:
 def _emit(args, result: tuple) -> int:
     """Print and write one run's result, compare with the golden; the exit code.
 
-    The result is (report or None, file name, file text).  The file is the
-    report in --format, or for DATA_COMMANDS a data file, which goes to
-    stdout when there is no --out.
+    The result is (report or None, file text).  The file is the report in
+    --format, or for DATA_COMMANDS a data file, which goes to stdout when
+    there is no --out.
     """
-    report, name, text = result
+    report, text = result
     exit_code = 0
     if report is not None:
         print(report.render_text())
@@ -149,7 +151,8 @@ def _emit(args, result: tuple) -> int:
     elif args.command in DATA_COMMANDS:
         sys.stdout.write(text)
     if args.golden:
-        diff = golden_diff(text, args.golden, name, bless=args.bless)
+        golden_dir, name = os.path.split(args.golden)
+        diff = golden_diff(text, golden_dir, name, bless=args.bless)
         print(f"golden: {diff['status']}", file=sys.stderr)
         if diff["status"] == "mismatch":
             for mm in diff["mismatches"]:
@@ -162,8 +165,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _report(args, rep: VerificationReport, stem: str) -> tuple:
-    return rep, f"{stem}_n{args.n}.{args.format}", report_text(rep, args.format)
+def _report(args, rep: VerificationReport) -> tuple:
+    return rep, report_text(rep, args.format)
 
 
 def _dispatch(args) -> tuple:
@@ -172,32 +175,36 @@ def _dispatch(args) -> tuple:
         raise UsageError(f"--n must be at least 2, got {args.n}")
     if getattr(args, "max_degree", 0) < 0:
         raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
+    if args.golden and (os.path.isdir(args.golden) or not os.path.basename(args.golden)):
+        raise UsageError(f"--golden names a file, got the directory {args.golden!r}")
+    if not 0 < getattr(args, "tolerance", 1) < math.inf:
+        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
     if cmd == "patterns":
         listing = suites.patterns_listing(
             args.n, _require_degree(args), include_global=args.global_points
         )
-        return None, f"patterns_n{args.n}.json", _json_text(listing)
+        return None, _json_text(listing)
     if cmd == "verify-gl":
-        return _report(args, suites.suite_verify_gl(args.n, args.max_degree), "verify_gl")
+        return _report(args, suites.suite_verify_gl(args.n, args.max_degree))
     if cmd == "gt-spectrum":
         rep, table = suites.suite_gt_spectrum(args.n, _require_degree(args), args.generators)
         if args.out:
             extra = suites.spectrum_csv(table) if args.format == "csv" else _json_text(table)
             write_text(args.out + ".table", extra)
-        return _report(args, rep, "gt_spectrum")
+        return _report(args, rep)
     if cmd == "whittaker":
         rep, comp = suites.suite_whittaker(args.n, _require_degree(args))
         if args.out:
             write_text(args.out + ".component", _json_text(comp))
-        return _report(args, rep, "whittaker")
+        return _report(args, rep)
     if cmd == "ring":
         spec = _parse_spec(args.spec) if args.spec is not None else None
         rep, table = suites.suite_ring(args.n, _require_degree(args), spec)
-        return rep, f"ring_table_n{args.n}.json", _json_text(table)
+        return rep, _json_text(table)
     if cmd == "qc-check":
-        return _report(args, suites.suite_qc(args.n, _require_degree(args)), "qc")
+        return _report(args, suites.suite_qc(args.n, _require_degree(args)))
     if cmd == "flatness":
-        return _report(args, suites.suite_flatness(args.n, _require_degree(args)), "flatness")
+        return _report(args, suites.suite_flatness(args.n, _require_degree(args)))
     if cmd == "monodromy":
         segments = _load_segments(args.path)
         rep, out = suites.suite_monodromy(
@@ -208,15 +215,15 @@ def _dispatch(args) -> tuple:
             segments,
             tolerance=args.tolerance,
         )
-        return rep, f"monodromy_matrix_n{args.n}.json", _json_text(out)
+        return rep, _json_text(out)
     if cmd == "global-verify":
-        return _report(args, suites.suite_global(args.n, args.max_degree), "global")
+        return _report(args, suites.suite_global(args.n, args.max_degree))
     if cmd == "ktheory":
         rep, table = suites.suite_ktheory(args.n, args.max_degree)
         if args.out:
             extra = suites.ktheory_csv(table) if args.format == "csv" else _json_text(table)
             write_text(args.out + ".table", extra)
-        return _report(args, rep, "ktheory")
+        return _report(args, rep)
     raise UsageError(f"unknown subcommand {cmd}")
 
 

@@ -20,7 +20,7 @@ from .verma import (
     VermaContext,
     _named_operator,
     lazy_cartan,
-    lazy_eij,
+    lazy_quadratic,
     lazy_scalar,
     operator_sum,
 )
@@ -41,11 +41,7 @@ class JointSpectrum:
 @_named_operator
 def lazy_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     """Sum of E_ij E_ji over ordered pairs (i, j) in [k]^2, lex order."""
-    terms = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            terms.append(lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i)))
-    op = operator_sum(terms)
+    op = operator_sum([lazy_quadratic(ctx, i, j) for i in range(1, k + 1) for j in range(1, k + 1)])
     op.label = f"Cas{k}"
     return op
 
@@ -53,15 +49,13 @@ def lazy_casimir(ctx: VermaContext, k: int) -> GradedOperator:
 @_named_operator
 def lazy_tilde_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     """Cas_k + (2-k) sum E_jj - sum (x_j/h)(x_j/h - 1) + k(k-1)(k-2)/3."""
-    op = lazy_casimir(ctx, k)
-    cartans = operator_sum([lazy_cartan(ctx, j) for j in range(1, k + 1)])
-    op = op.add(cartans.scale(FieldElem.from_rational(ctx.ring, 2 - k)))
+    cartans = operator_sum([lazy_cartan(ctx, j) for j in range(1, k + 1)]).scale(FieldElem.from_rational(ctx.ring, 2 - k))
     shift_val = FieldElem.zero(ctx.ring)
     for j in range(1, k + 1):
         u = ctx.hinv * ctx.x[j]
         shift_val = shift_val + u * (u - 1)
     const = FieldElem.from_rational(ctx.ring, Fraction(k * (k - 1) * (k - 2), 3))
-    op = op.add(lazy_scalar(ctx, const - shift_val))
+    op = operator_sum([lazy_casimir(ctx, k), cartans, lazy_scalar(ctx, const - shift_val)])
     op.label = f"tildeCas{k}"
     return op
 

@@ -47,8 +47,11 @@ class SparseMatrix:
                 out[k] = s
         return SparseMatrix(self.rows, self.cols, self.ring, out)
 
+    def __neg__(self) -> "SparseMatrix":
+        return SparseMatrix(self.rows, self.cols, self.ring, {k: -v for k, v in self.entries.items()})
+
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(FieldElem.from_rational(self.ring, -1))
+        return self + -other
 
     def scale(self, c: FieldElem) -> "SparseMatrix":
         if c.is_zero():

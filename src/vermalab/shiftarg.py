@@ -28,7 +28,7 @@ from .field import FieldElem, VermalabError
 from .gtalg import lazy_tilde_casimir
 from .patterns import DegreeVector
 from .ring import MultiPoly, quantum_ring
-from .verma import GradedOperator, VermaContext, _named_operator, lazy_eij, operator_sum
+from .verma import GradedOperator, VermaContext, _named_operator, lazy_quadratic, lazy_scalar, operator_sum
 
 
 class RegularityError(VermalabError):
@@ -79,9 +79,7 @@ def lazy_qc(ctx: VermaContext, k: int) -> GradedOperator:
     for i in range(1, k):
         for j in range(k + 1, n + 1):
             coeff = q_coefficient(n, i, k, j)
-            terms.append(
-                lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i)).scale(coeff)
-            )
+            terms.append(lazy_quadratic(ctx, i, j).scale(coeff))
     op = operator_sum(terms)
     op.label = f"QC{k}"
     return op
@@ -115,11 +113,8 @@ def quadratic_space_element(
             ratio = (h[i - 1] - h[j - 1]) / dmu
             if ratio.is_zero():
                 continue
-            terms.append(lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i)).scale(ratio))
-    if not terms:
-        op = GradedOperator(ctx, (0,) * (n - 1), None, lambda d: ctx.diagonal_block(d, ctx.zero))
-    else:
-        op = operator_sum(terms)
+            terms.append(lazy_quadratic(ctx, i, j).scale(ratio))
+    op = operator_sum(terms) if terms else lazy_scalar(ctx, ctx.zero)
     op.label = "Qmu"
     return op
 

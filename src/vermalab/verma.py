@@ -417,6 +417,13 @@ def lazy_eij(ctx: VermaContext, a: int, b: int) -> GradedOperator:
     return GradedOperator(ctx, root_shift(ctx.n, a, b), None, build, f"E{a}{b}")
 
 
+@_named_operator
+def lazy_quadratic(ctx: VermaContext, i: int, j: int) -> GradedOperator:
+    """E_ij E_ji, the one copy of each quadratic term that Cas_k, QC_k and
+    the quadratic-space elements sum."""
+    return lazy_eij(ctx, i, j).compose(lazy_eij(ctx, j, i))
+
+
 def lazy_scalar(ctx: VermaContext, value: FieldElem) -> GradedOperator:
     def build(d):
         return ctx.diagonal_block(d, value)
@@ -425,10 +432,19 @@ def lazy_scalar(ctx: VermaContext, value: FieldElem) -> GradedOperator:
 
 
 def operator_sum(ops: list[GradedOperator]) -> GradedOperator:
-    acc = ops[0]
-    for op in ops[1:]:
-        acc = acc.add(op)
-    return acc
+    """A new operator whose blocks are the left-to-right sums of the ops'
+    blocks; it never returns one of the ops, so callers may relabel it."""
+    first = ops[0]
+    if any(op.shift != first.shift for op in ops):
+        raise VermalabError("adding operators of different shifts")
+
+    def build(d):
+        acc = first.block(d)
+        for op in ops[1:]:
+            acc = acc + op.block(d)
+        return acc
+
+    return GradedOperator(first.space, first.shift, None, build, "+".join(op.label for op in ops))
 
 
 # -- relation verification -----------------------------------------------------

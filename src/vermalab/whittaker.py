@@ -17,7 +17,7 @@ from fractions import Fraction
 from .field import FieldElem, VermalabError
 from .gtalg import eig_det_bundle, joint_spectrum
 from .linalg import solve_linear, solve_rows, vstack
-from .patterns import DegreeVector, Pattern, _first_collision, degree_valid
+from .patterns import DegreeVector, Pattern, _first_collision, degree_valid, degree_vectors_upto
 from .verma import VermaContext
 
 
@@ -191,7 +191,7 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     bound = 0
     while len(chosen) < dim:
         bound += 1
-        candidates = _graded_exponents(len(labels), bound)
+        candidates = degree_vectors_upto(len(labels) + 1, bound)
         for expv in candidates:
             if expv in chosen:
                 continue
@@ -219,25 +219,6 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     out["specialization"] = {k: str(v) for k, v in sorted(specialization.items())}
     out["basis"] = [_exp_label(labels, expv) for expv in chosen]
     out["products"] = products
-    return out
-
-
-def _graded_exponents(nvars: int, bound: int) -> list[tuple[int, ...]]:
-    if nvars == 0:
-        return [()]
-    out = []
-    for total in range(bound + 1):
-        out.extend(_sum_tuples(nvars, total))
-    return out
-
-
-def _sum_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _sum_tuples(nvars - 1, total - first):
-            out.append((first,) + rest)
     return out
 
 

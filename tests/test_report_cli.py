@@ -180,7 +180,7 @@ def test_cli_deterministic_files(tmp_path):
 
 
 def test_cli_golden_flow(tmp_path):
-    golden = tmp_path / "goldens"
+    golden = tmp_path / "goldens" / "verify_gl_n2_max1.json"
     res = _run_cli(
         "verify-gl", "--n", "2", "--max-degree", "1", "--out", str(tmp_path / "r.json"),
         "--golden", str(golden), "--bless",
@@ -190,6 +190,14 @@ def test_cli_golden_flow(tmp_path):
         "verify-gl", "--n", "2", "--max-degree", "1", "--out", str(tmp_path / "r.json"),
         "--golden", str(golden),
     )
+    assert res.returncode == 0
+    assert "golden: match" in res.stderr
+    assert golden.read_text() == (tmp_path / "r.json").read_text()
+
+
+def test_cli_golden_names_the_committed_file():
+    golden = os.path.join(os.path.dirname(__file__), "..", "goldens", "qc_n3_d1_1.json")
+    res = _run_cli("qc-check", "--n", "3", "--degree", "1,1", "--golden", golden)
     assert res.returncode == 0
     assert "golden: match" in res.stderr
 
@@ -202,8 +210,11 @@ def _assert_one_line_error(res, code, prefix):
 
 
 def test_cli_missing_golden_is_one_line_error(tmp_path):
-    res = _run_cli("patterns", "--n", "2", "--degree", "1", "--golden", str(tmp_path))
+    res = _run_cli("patterns", "--n", "2", "--degree", "1", "--golden", str(tmp_path / "p.json"))
     _assert_one_line_error(res, 1, "error: golden file missing: ")
+    # --golden names the file itself, so a directory is a usage error
+    res = _run_cli("patterns", "--n", "2", "--degree", "1", "--golden", str(tmp_path))
+    _assert_one_line_error(res, 2, "usage error: --golden ")
 
 
 @pytest.mark.parametrize(
@@ -241,10 +252,14 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
         ("--n", ("verify-gl", "--n", "1", "--max-degree", "1")),
         ("--n", ("patterns", "--n", "0", "--degree", "1")),
         ("--max-degree", ("verify-gl", "--n", "2", "--max-degree", "-1")),
+        ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "nan")),
+        ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "inf")),
+        ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "-1")),
+        ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "0")),
     ],
     ids=["degree-letter", "degree-empty", "degree-short", "degree-long", "degree-negative", "spec-letters",
          "spec-zero-den", "spec-no-value", "spec-empty", "kappa-letters", "kappa-zero-den", "n-one", "n-zero",
-         "max-degree-negative"],
+         "max-degree-negative", "tolerance-nan", "tolerance-inf", "tolerance-negative", "tolerance-zero"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, flag, argv):
     if argv[0] == "monodromy":

@@ -9,12 +9,15 @@ the source formulas and are asserted here as computed.
 
 import cmath
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vermalab.field import FieldElem
+from vermalab.gtalg import lazy_casimir, lazy_tilde_casimir
 from vermalab.patterns import degree_vectors_upto
 from vermalab.shiftarg import (
     ConnectionSpec,
@@ -34,8 +37,8 @@ from vermalab.shiftarg import (
     quantum_context,
 )
 from vermalab import shiftarg
-from vermalab.suites import _doubled_commutator_block, suite_qc
-from vermalab.verma import VermaContext
+from vermalab.suites import _doubled_commutator_block, suite_gt_spectrum, suite_qc
+from vermalab.verma import GradedOperator, VermaContext, lazy_quadratic
 
 
 def test_deformation_coefficients_golden():
@@ -67,6 +70,36 @@ def test_suite_qc_builds_each_qc_block_once(monkeypatch):
     monkeypatch.setattr(shiftarg, "lazy_qc", counting_lazy_qc)
     suite_qc(4, "1,1,0")
     assert sorted(builds) == [(2, (1, 1, 0)), (3, (1, 1, 0))]
+
+
+def test_each_quadratic_term_is_built_once_and_never_relabelled(monkeypatch):
+    monkeypatch.setattr(VermaContext, "_instances", {})
+    original = GradedOperator.compose
+    builds = Counter()
+
+    def counting_compose(self, other):
+        op = original(self, other)
+        if re.fullmatch(r"\(E(\d)(\d)\*E\2\1\)", op.label):
+            build = op.builder
+            op.builder = lambda d: builds.update([(op.space, op.label, d)]) or build(d)
+        return op
+
+    monkeypatch.setattr(GradedOperator, "compose", counting_compose)
+    suite_qc(4, "1,1,0")
+    suite_gt_spectrum(4, "1,1,1")
+    assert builds and set(builds.values()) == {1}
+    # Cas_k, tildeCas_k, QC_k and Q_mu all sum the shared terms; none relabels one
+    ctx = quantum_context(4)
+    for k in range(1, 5):
+        lazy_casimir(ctx, k)
+        lazy_tilde_casimir(ctx, k)
+    for k in (2, 3):
+        lazy_qc(ctx, k)
+        quadratic_space_element(4, paper_mu_weights(4), paper_h_weights(4, k))
+    assert lazy_casimir(ctx, 1).label == "Cas1"
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert lazy_quadratic(ctx, i, j).label == f"(E{i}{j}*E{j}{i})"
 
 
 def test_qc_degenerates_at_q_zero():
