@@ -15,12 +15,25 @@ then the exponent tuple itself, with the variable list x1 < ... < xn <
 h < q2 < ... giving x1 the strongest tie break.  All iteration that can
 reach output is done in this order, descending, so serialized forms are
 byte stable.
+
+Exact division works on packed monomial keys.  An exponent tuple becomes
+one int: the total degree in the top field, then x1, ..., the last
+variable, each field ``w`` bits wide with a zero guard bit above it, where
+``w`` is the bit length of the dividend's total degree.  Because grlex is
+degree compatible, that degree bounds every remainder and quotient
+exponent, so no field overflows.  Int order is then grlex order, a
+monomial product is an int add, and the divisor's leading monomial
+divides a term exactly when the key difference is nonnegative and has no
+guard bit set.  ``MultiPoly.terms`` itself stays keyed by tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -327,10 +340,33 @@ class MultiPoly:
 # -- exact division and gcd over Z[vars] ---------------------------------
 
 
+@lru_cache(maxsize=None)
+def _key_layout(nvars: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Packed keys for nvars variables with width-bit fields (see the
+    module docstring): the weights that pack an exponent tuple (its dot
+    product with them), each variable's shift, the guard bits and the
+    field mask."""
+    step = width + 1
+    shifts = tuple(step * (nvars - 1 - i) for i in range(nvars))
+    top = 1 << (step * nvars)
+    weights = tuple(top + (1 << s) for s in shifts)
+    guard = sum(1 << (step * i + width) for i in range(nvars + 1))
+    return weights, shifts, guard, (1 << width) - 1
+
+
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Exact polynomial division a / b, or None when b does not divide a.
 
-    Both operands must have integer coefficients.
+    Both operands must have integer coefficients.  The division runs on
+    packed keys (see the module docstring) whose fields are as wide as
+    the bit length of a's total degree.  The remainder is a dict from key
+    to coefficient with a max-heap of its keys; the heap pops the leading
+    remainder term, an entry that has cancelled to zero is skipped, and
+    the division fails at the first leading term whose key difference
+    from b's leading key is negative or sets a guard bit, or whose
+    coefficient b's leading coefficient does not divide.  Only the
+    quotient is unpacked.  A constant b divides coefficient by
+    coefficient, and a of lower total degree than b fails at once.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -345,33 +381,40 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
                 return None
             out[e] = q
         return MultiPoly(a.ring, out)
-    if a.total_degree() < b.total_degree():
+    deg = a.total_degree()
+    if deg < b.total_degree():
         return None
-    for v in b.variables():
-        if b.degree_in(v) > a.degree_in(v):
+    # Every remainder and quotient exponent is at most deg (grlex is
+    # degree compatible), so fields of deg.bit_length() bits hold it.
+    weights, shifts, guard, mask = _key_layout(a.ring.nvars, deg.bit_length())
+    divisor = {sum(map(mul, e, weights)): c for e, c in b.terms.items()}
+    kb = max(divisor)
+    cb = divisor.pop(kb)
+    tail = list(divisor.items())
+    rem = {sum(map(mul, e, weights)): c for e, c in a.terms.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    quo = []
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        d = k - kb
+        if d < 0 or d & guard:
             return None
-    eb, cb = b.leading()
-    rem = dict(a.terms)
-    quo: dict[tuple[int, ...], int] = {}
-    get_key = grlex_key
-    while rem:
-        ea = max(rem, key=get_key)
-        ca = rem[ea]
-        de = tuple(x - y for x, y in zip(ea, eb))
-        if any(k < 0 for k in de):
-            return None
-        q, r = divmod(ca, cb)
+        q, r = divmod(c, cb)
         if r:
             return None
-        quo[de] = q
-        for e2, c2 in b.terms.items():
-            e = _add_exp(de, e2)
-            s = rem.get(e, 0) - q * c2
-            if s:
-                rem[e] = s
+        quo.append((d, q))
+        for kt, ct in tail:
+            e = d + kt
+            if e in rem:
+                rem[e] -= q * ct
             else:
-                rem.pop(e, None)
-    return MultiPoly(a.ring, quo)
+                rem[e] = -q * ct
+                heappush(heap, -e)
+    return MultiPoly(a.ring, {tuple((d >> s) & mask for s in shifts): q for d, q in quo})
 
 
 def _to_univariate(p: MultiPoly, var: int) -> dict[int, MultiPoly]:

@@ -297,6 +297,8 @@ def test_cli_outputs_identical_across_hash_seeds(tmp_path):
         ("qc-check", "--n", "3", "--degree", "1,1"),
         ("global-verify", "--n", "2", "--max-degree", "2"),
         ("ktheory", "--n", "3", "--max-degree", "2"),
+        # the generic field path: heuristic gcd and exact division
+        ("whittaker", "--n", "3", "--degree", "1,1"),
     ]
     outputs = {}
     for seed in ("0", "12345"):
@@ -309,6 +311,6 @@ def test_cli_outputs_identical_across_hash_seeds(tmp_path):
         for path in sorted(out_dir.iterdir()):
             outputs[(seed, path.name)] = path.read_bytes()
     files = sorted(key[1] for key in outputs if key[0] == "0" and len(key) == 2)
-    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table"]
+    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table", "r3.json", "r3.json.component"]
     for key in [k for k in outputs if k[0] == "0"]:
         assert outputs[key] == outputs[("12345",) + key[1:]], key

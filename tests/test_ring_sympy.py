@@ -4,9 +4,15 @@ The operands look like the suites' own: products of linear forms
 x_j - x_k + c h (the tangent weights of the fixed-point basis) with small
 sparse polynomials, in the classical ring of rank 3 and the quantum ring
 of rank 4.  Dividend and divisor are drawn from one factor pool, so
-about 70% of the divisions fail, as on the gl-relations workload.  sympy
-is a test-only oracle.
+about 70% of the divisions fail, as on the gl-relations workload.  Exact
+division is also checked on hand-picked edge cases of its packed-key
+layout and on a corpus of real operands captured from the whittaker-solve
+and qc-deformed workloads (``data/exact_div_corpus.json``, written by
+``microbench/capture_exact_div_corpus.py``).  sympy is a test-only oracle.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +21,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from vermalab.field import FieldElem  # noqa: E402
-from vermalab.ring import MultiPoly, classical_ring, exact_div, poly_gcd, poly_lcm, quantum_ring  # noqa: E402
+from vermalab.ring import MultiPoly, PolyRing, classical_ring, exact_div, poly_gcd, poly_lcm, quantum_ring  # noqa: E402
 
 RINGS = (classical_ring(3), quantum_ring(4))
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -103,19 +109,73 @@ def test_mul_matches_sympy(case):
     assert (a * b).terms == _terms(_sym(a) * _sym(b))
 
 
+def _check_div(a: MultiPoly, b: MultiPoly) -> bool:
+    """Assert that exact_div(a, b) is sympy's quotient when that is an
+    integer polynomial and the division leaves no remainder, and None
+    otherwise; return whether b divides a."""
+    q, r = _sym(a).div(_sym(b))  # over QQ
+    divides = r.is_zero and all(c.is_integer for c in q.coeffs())
+    got = exact_div(a, b)
+    assert (None if got is None else got.terms) == (_terms(q) if divides else None)
+    return divides
+
+
 @SETTINGS
 @given(operand_pairs())
 def test_exact_div_matches_sympy(case):
     _, a, b = case
-    q, r = _sym(a).div(_sym(b))  # over QQ
-    divides = r.is_zero and all(c.is_integer for c in q.coeffs())
-    got = exact_div(a, b)
-    if divides:
-        assert got is not None and got.terms == _terms(q)
-    else:
-        assert got is None
+    _check_div(a, b)
     # the product of the two always divides back
     assert exact_div(a * b, b).terms == a.terms
+
+
+# exact_div packs each exponent vector into one int whose fields are as
+# wide as the dividend's total degree; these cases sit at the edges of
+# that layout, in the 9-variable ring x1..x5, h, q2..q4
+EDGE_CASES = {
+    # squarefree dividends of total degree >= 4: every variable has degree
+    # <= 1, but the quotient's total degree is 4 or more
+    "squarefree-quotient-deg4": ("(x1 - x2 + h)*x3*x4*x5*q2", "x1 - x2 + h"),
+    "squarefree-quotient-deg4-sum": ("(x1 + x2)*(x3 - q2)*(x4 + h)*(x5 - q3)*q4", "x1 + x2"),
+    "squarefree-two-factor-divisor": ("(x1 + x2)*(x3 - q2)*(x4 + h)*(x5 - q3)", "(x1 + x2)*(x5 - q3)"),
+    "squarefree-fails": ("x1*x2*x3*x4*q2 - x5*h*q3*q4", "x1 - q2"),
+    # the divisor's tail pushes remainder monomials past the dividend's
+    # per-variable degrees (x2 reaches degree 3, 4 and 8 below)
+    "tail-past-degrees-x1^3": ("x1^3", "x1 + x2"),
+    "tail-past-degrees-x1^3*x2": ("x1^3*x2", "x1 + x2"),
+    "tail-power-past-degrees": ("x1^3*x3^3*x2^2", "x1*x3 + x2^2"),
+    "tail-past-degrees-divides": ("x1^3*x3^3 + x2^6", "x1*x3 + x2^2"),
+    # the leading terms divide, a later term does not: by its monomial,
+    # then by its coefficient
+    "fails-later-monomial": ("x1^2 + 2*x1*x2 + x2^2 + h", "x1 + x2"),
+    "fails-later-coefficient": ("2*x1^2 + 2*x1*x2 + x1 + x2", "2*x1 + 2*x2"),
+    # a variable of degree 16 or more: the fields grow from 4 to 5 bits,
+    # and a quotient of degree 16 needs all 5
+    "deg15-fields-4-bits": ("x1^15 - h^15", "x1 - h"),
+    "deg16-fields-5-bits": ("x1^16 - h^16", "x1 - h"),
+    "deg16-fails": ("x1^16 + h^16", "x1 - h"),
+    "deg16-monomial": ("x1^16*q4", "x1^9*q4"),
+    "deg17-quotient-deg16": ("x1^17 - h^17", "x1 - h"),
+    "deg17-two-variables": ("x1^16*x2 - x2^17", "x1 - x2"),
+}
+
+
+@pytest.mark.parametrize("a, b", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_exact_div_edge_cases_match_sympy(a, b):
+    ring = quantum_ring(5)
+    gens = sympy.symbols(ring.names)
+    a, b = (MultiPoly(ring, _terms(sympy.Poly(text, *gens))) for text in (a, b))
+    _check_div(a, b)
+
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "exact_div_corpus.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[f"{c['workload']}-{i}" for i, c in enumerate(CORPUS)])
+def test_exact_div_corpus_matches_sympy(case):
+    ring = PolyRing(case["ring"])
+    a, b = (MultiPoly(ring, {tuple(e): c for e, c in case[key]}) for key in ("a", "b"))
+    assert _check_div(a, b) is case["divides"]
 
 
 @st.composite
