@@ -2,15 +2,7 @@
 bases, plus the verification suites that machine-check every stated
 identity at desk scale."""
 
-from .field import (
-    DivisionByZeroError,
-    FieldElem,
-    PoleError,
-    VermalabError,
-    identity_check,
-    rf_arith,
-    rf_eval,
-)
+from .field import DivisionByZeroError, FieldElem, PoleError, VermalabError
 from .laurent import ExponentQuadratic, LaurentMonomial, VPowerProduct
 from .linalg import LinearSolveResult, SparseMatrix, solve_linear
 from .patterns import (
@@ -22,16 +14,7 @@ from .patterns import (
     gt_pattern,
 )
 from .ring import MultiPoly, PolyRing, classical_ring, quantum_ring
-from .verma import (
-    GradedOperator,
-    VermaContext,
-    WindowError,
-    check_gl_relations,
-    op_cartan,
-    op_e,
-    op_eij,
-    op_f,
-)
+from .verma import GradedOperator, VermaContext, check_gl_relations
 
 __version__ = "0.1.0"
 
@@ -52,19 +35,11 @@ __all__ = [
     "VPowerProduct",
     "VermaContext",
     "VermalabError",
-    "WindowError",
     "check_gl_relations",
     "classical_ring",
     "enumerate_global_fixed_points",
     "enumerate_patterns",
     "gt_pattern",
-    "identity_check",
-    "op_cartan",
-    "op_e",
-    "op_eij",
-    "op_f",
     "quantum_ring",
-    "rf_arith",
-    "rf_eval",
     "solve_linear",
 ]

@@ -175,8 +175,9 @@ def _dispatch(args) -> tuple:
         raise UsageError(f"--n must be at least 2, got {args.n}")
     if getattr(args, "max_degree", 0) < 0:
         raise UsageError(f"--max-degree must be nonnegative, got {args.max_degree}")
-    if args.golden and (os.path.isdir(args.golden) or not os.path.basename(args.golden)):
-        raise UsageError(f"--golden names a file, got the directory {args.golden!r}")
+    for flag, path in (("--out", args.out), ("--golden", args.golden)):
+        if path and (os.path.isdir(path) or not os.path.basename(path)):
+            raise UsageError(f"{flag} names a file, got the directory {path!r}")
     if not 0 < getattr(args, "tolerance", 1) < math.inf:
         raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
     if cmd == "patterns":
@@ -207,6 +208,8 @@ def _dispatch(args) -> tuple:
         return _report(args, suites.suite_flatness(args.n, _require_degree(args)))
     if cmd == "monodromy":
         segments = _load_segments(args.path)
+        if any(len(seg[end]) != args.n - 2 for seg in segments for end in ("from", "to")):
+            raise UsageError(f"path file {args.path}: every point needs n-2 = {args.n - 2} q coordinates")
         rep, out = suites.suite_monodromy(
             args.n,
             _require_degree(args),

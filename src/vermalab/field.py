@@ -16,7 +16,6 @@ reduced, and zero tests are plain numerator tests.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd as int_gcd
@@ -317,15 +316,13 @@ class FieldElem:
         hv = self.ring.index["h"]
         num = self.num.flip_var_sign(hv)
         den = self.den.flip_var_sign(hv)
+        dfac = None
         if self.dfac is not None:
             parts = [_canon_factor(f.flip_var_sign(hv)) for f in self.dfac]
             dfac = tuple(sorted((f for f, _ in parts), key=_factor_key))
-            if den.leading()[1] < 0:
-                num, den = -num, -den
-            return FieldElem(num, den, _canonical=True, dfac=dfac)
         if den.leading()[1] < 0:
             num, den = -num, -den
-        return FieldElem(num, den, _canonical=True)
+        return FieldElem(num, den, _canonical=True, dfac=dfac)
 
     def derivative(self, name: str) -> "FieldElem":
         v = self.ring.index[name]
@@ -452,58 +449,3 @@ def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         den = exact_div(den, g)
     return _content_sign_fix(num, den)
 
-
-# -- spec-level operation surface ------------------------------------------------
-
-
-def rf_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """Field arithmetic dispatcher; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise VermalabError(f"unknown op: {op}")
-
-
-def rf_eval(f: FieldElem, assignment: Mapping[str, int | Fraction]) -> Fraction:
-    return f.evaluate(assignment)
-
-
-def identity_check(
-    f: FieldElem,
-    mode: str = "exact",
-    trials: int = 20,
-    seed: int = 0,
-) -> str:
-    """Decide whether f is zero.
-
-    Exact mode is definitive (canonical forms make it a numerator test).
-    Random-eval mode draws integer points from [-10^4, 10^4], retries on
-    poles, and reports ``probably-zero`` only if every trial vanishes.
-    """
-    if mode == "exact":
-        return "zero" if f.is_zero() else "nonzero"
-    if mode != "random-eval":
-        raise VermalabError(f"unknown identity_check mode: {mode}")
-    if trials < 1:
-        raise VermalabError("random-eval needs trials >= 1")
-    rng = random.Random(seed)
-    names = f.ring.names
-    for _ in range(trials):
-        value = None
-        for _attempt in range(100):
-            pt = {name: Fraction(rng.randint(-10_000, 10_000)) for name in names}
-            try:
-                value = f.evaluate(pt)
-            except PoleError:
-                continue
-            break
-        if value is None:
-            raise VermalabError("could not avoid poles in 100 attempts")
-        if value != 0:
-            return "nonzero"
-    return "probably-zero"

@@ -25,7 +25,7 @@ from .patterns import (
     enumerate_global_fixed_points,
     shift_degree,
 )
-from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift
+from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift, operator_sum
 from .whittaker import whittaker_component
 
 
@@ -103,21 +103,15 @@ def lazy_global(gctx: GlobalContext, which: str, family: int, i: int) -> GradedO
         build = lambda d: global_cartan_block(gctx, family, i, d)
     else:
         raise VermalabError(f"unknown operator kind {which}")
-    return GradedOperator(gctx, shift, None, build, f"{which}{i}({family})")
+    return GradedOperator(gctx, shift, build, f"{which}{i}({family})")
 
 
-def op_global(n: int, i: int, which: str, window) -> GradedOperator:
-    """Spec surface: which in {e1, e2, f1, f2, eD, fD}; eD and fD are the
-    sums of the two families."""
-    gctx = GlobalContext.get(n)
-    if which in ("e1", "e2", "f1", "f2"):
-        return lazy_global(gctx, which[0], int(which[1]), i).snapshot(window)
-    if which in ("eD", "fD"):
-        kind = which[0]
-        op = lazy_global(gctx, kind, 1, i).add(lazy_global(gctx, kind, 2, i))
-        op.label = f"{kind}{i}(Delta)"
-        return op.snapshot(window)
-    raise VermalabError(f"unknown global operator {which}")
+@_named_operator
+def lazy_global_delta(gctx: GlobalContext, kind: str, i: int) -> GradedOperator:
+    """The diagonal operator eDelta or fDelta: the sum of the two families."""
+    op = operator_sum([lazy_global(gctx, kind, 1, i), lazy_global(gctx, kind, 2, i)])
+    op.label = f"{kind}{i}(Delta)"
+    return op
 
 
 def check_double_relations(n: int, dmax: int):
@@ -201,9 +195,9 @@ def check_delta_sums(n: int, dmax: int):
     results = []
     for kind in ("e", "f"):
         for i in range(1, n):
-            summed = lazy_global(gctx, kind, 1, i).add(lazy_global(gctx, kind, 2, i))
-            direct = op_global(n, i, f"{kind}D", degrees)
-            ok = all((summed.block(d) - direct.block(d)).is_zero() for d in degrees)
+            delta = lazy_global_delta(gctx, kind, i)
+            one, two = lazy_global(gctx, kind, 1, i), lazy_global(gctx, kind, 2, i)
+            ok = all((delta.block(d) - (one.block(d) + two.block(d))).is_zero() for d in degrees)
             results.append((f"{kind}{i}(Delta)=sum", "diagonal operator is the family sum", ok, None))
     return results
 
@@ -282,8 +276,8 @@ def check_invariants_preserved(n: int, d: DegreeVector):
             ops.append(lazy_global(gctx, "e", fam, i))
             ops.append(lazy_global(gctx, "f", fam, i))
     for i in range(1, n):
-        ops.append(lazy_global(gctx, "e", 1, i).add(lazy_global(gctx, "e", 2, i)))
-        ops.append(lazy_global(gctx, "f", 1, i).add(lazy_global(gctx, "f", 2, i)))
+        ops.append(lazy_global_delta(gctx, "e", i))
+        ops.append(lazy_global_delta(gctx, "f", i))
     ok = True
     witness = None
     for vec in invs:

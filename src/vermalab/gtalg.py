@@ -60,18 +60,6 @@ def lazy_tilde_casimir(ctx: VermaContext, k: int) -> GradedOperator:
     return op
 
 
-def op_casimir(n: int, k: int, window) -> GradedOperator:
-    if not 1 <= k <= n:
-        raise VermalabError(f"casimir index {k} out of range")
-    return lazy_casimir(VermaContext.get(n), k).snapshot(window)
-
-
-def op_tilde_casimir(n: int, k: int, window) -> GradedOperator:
-    if not 1 <= k <= n:
-        raise VermalabError(f"casimir index {k} out of range")
-    return lazy_tilde_casimir(VermaContext.get(n), k).snapshot(window)
-
-
 # -- closed-form eigenvalues ----------------------------------------------
 
 

@@ -113,17 +113,15 @@ class LinearSolveResult:
     """Tagged outcome of solve_linear.
 
     status is one of ``unique``, ``inconsistent``, ``underdetermined``.
-    ``solution`` is a particular solution when one exists; ``kernel`` is a
-    basis of the nullspace (each vector normalized so its first nonzero
-    coordinate is 1) when the system is underdetermined.
+    ``solution`` is a particular solution when one exists; for an
+    underdetermined system its free coordinates are zero.
     """
 
-    __slots__ = ("status", "solution", "kernel")
+    __slots__ = ("status", "solution")
 
-    def __init__(self, status, solution=None, kernel=None):
+    def __init__(self, status, solution=None):
         self.status = status
         self.solution = solution
-        self.kernel = kernel
 
 
 def solve_linear(a: SparseMatrix, rhs: list[FieldElem]) -> LinearSolveResult:
@@ -145,16 +143,16 @@ def solve_linear(a: SparseMatrix, rhs: list[FieldElem]) -> LinearSolveResult:
             scale = FieldElem(den, MultiPoly.const(ring, 1))
             for i, v in enumerate(row):
                 row[i] = v * scale
-    return solve_rows(m, a.cols, FieldElem.zero(ring), FieldElem.one(ring))
+    return solve_rows(m, a.cols, FieldElem.zero(ring))
 
 
-def solve_rows(m: list[list], ncols: int, zero, one) -> LinearSolveResult:
+def solve_rows(m: list[list], ncols: int, zero) -> LinearSolveResult:
     """Gaussian elimination of the augmented rows ``[A | b]`` in ``m``, in place.
 
     This is the package's one elimination.  Scalars may be of any exact
-    type with ``+ - * /`` whose zero is falsy (``FieldElem``, ``Fraction``);
-    ``zero`` and ``one`` are that type's constants.  Every division is
-    exact, so a ``unique`` result satisfies A sol = b identically.
+    type with ``+ - * /`` whose zero is falsy (``FieldElem``, ``Fraction``),
+    and ``zero`` is that type's zero.  Every division is exact, so a
+    ``unique`` result satisfies A sol = b identically.
     """
     pivots: list[int] = []
     for pc in range(ncols):
@@ -175,31 +173,15 @@ def solve_rows(m: list[list], ncols: int, zero, one) -> LinearSolveResult:
     if any(row[ncols] for row in m[len(pivots):]):
         return LinearSolveResult("inconsistent")
     # particular solution with free coordinates set to zero
-    sol = _back_substitute(m, pivots, [row[ncols] for row in m], [zero] * ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return LinearSolveResult("unique", solution=sol)
-    kernel = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        vec = _back_substitute(m, pivots, [zero] * len(pivots), vec)
-        lead = next(v for v in vec if v)
-        kernel.append([v / lead for v in vec])
-    return LinearSolveResult("underdetermined", solution=sol, kernel=kernel)
-
-
-def _back_substitute(m, pivots: list[int], start: list, vec: list) -> list:
-    """Fill the pivot coordinates of vec from the echelon rows of m, row i
-    starting from ``start[i]``; the other coordinates are taken as given."""
+    sol = [zero] * ncols
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
-        s = start[i]
-        for c in range(pc + 1, len(vec)):
-            if m[i][c] and vec[c]:
-                s = s - m[i][c] * vec[c]
-        vec[pc] = s / m[i][pc]
-    return vec
+        s = m[i][ncols]
+        for c in range(pc + 1, ncols):
+            if m[i][c] and sol[c]:
+                s = s - m[i][c] * sol[c]
+        sol[pc] = s / m[i][pc]
+    return LinearSolveResult("unique" if len(pivots) == ncols else "underdetermined", solution=sol)
 
 
 def vstack(blocks: Iterable[SparseMatrix]) -> SparseMatrix:

@@ -100,13 +100,7 @@ def degree_vectors_upto(n: int, bound: int) -> list[DegreeVector]:
             for i in c:
                 d[i] += 1
             out.append(tuple(d))
-    seen = set()
-    uniq = []
-    for d in sorted(out, key=lambda t: (sum(t), t)):
-        if d not in seen:
-            seen.add(d)
-            uniq.append(d)
-    return uniq
+    return sorted(out, key=lambda t: (sum(t), t))
 
 
 def shift_degree(d: DegreeVector, shift: tuple[int, ...]) -> DegreeVector:

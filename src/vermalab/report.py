@@ -100,9 +100,12 @@ class VerificationReport:
 
 
 def write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as err:
+        raise VermalabError(f"cannot write {path}: {err}") from None
 
 
 def report_text(report: VerificationReport, fmt: str) -> str:

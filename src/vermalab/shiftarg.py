@@ -26,6 +26,7 @@ import numpy as np
 
 from .field import FieldElem, VermalabError
 from .gtalg import lazy_tilde_casimir
+from .linalg import SparseMatrix
 from .patterns import DegreeVector
 from .ring import MultiPoly, quantum_ring
 from .verma import GradedOperator, VermaContext, _named_operator, lazy_quadratic, lazy_scalar, operator_sum
@@ -230,8 +231,6 @@ def flatness_c2_block(n: int, k: int, l: int, d: DegreeVector):
         term = bl.get(r, c).derivative(f"q{k}") * qk - bk.get(r, c).derivative(f"q{l}") * ql
         if not term.is_zero():
             entries[(r, c)] = term
-    from .linalg import SparseMatrix
-
     return SparseMatrix(dim, dim, ctx.ring, entries)
 
 

@@ -11,6 +11,7 @@ report findings with explicit witnesses, never silent patches.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -359,8 +360,6 @@ def suite_global(n: int, max_degree: int) -> VerificationReport:
     for label, anchor, ok, witness in check_delta_sums(n, max_degree):
         rep.add_check(label, anchor, ok, witness)
     gctx = GlobalContext.get(n)
-    import itertools as it
-
     law_ok = True
     degrees = degree_vectors_upto(n, max_degree)
     for d in degrees[: min(3, len(degrees))]:
@@ -368,8 +367,8 @@ def suite_global(n: int, max_degree: int) -> VerificationReport:
         if not basis:
             continue
         vec = {basis[0]: FieldElem.var(gctx.ring, "x1") + FieldElem.var(gctx.ring, "h")}
-        for sa in it.permutations(range(1, n + 1)):
-            for sb in it.permutations(range(1, n + 1)):
+        for sa in itertools.permutations(range(1, n + 1)):
+            for sb in itertools.permutations(range(1, n + 1)):
                 lhs = sn_action(sa, d, sn_action(sb, d, vec))
                 rhs = sn_action(compose_perm(sa, sb), d, vec)
                 keys = set(lhs) | set(rhs)

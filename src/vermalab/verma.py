@@ -37,10 +37,6 @@ from .patterns import (
 from .ring import MultiPoly, PolyRing, classical_ring
 
 
-class WindowError(VermalabError):
-    """Raised when a block outside the materialized window is accessed."""
-
-
 def root_shift(n: int, a: int, b: int) -> tuple[int, ...]:
     """Degree shift of E[a][b]: lowering for a < b, raising for a > b."""
     shift = [0] * (n - 1)
@@ -247,19 +243,18 @@ class VermaContext(_GradedSpace):
 class GradedOperator:
     """A degree-indexed family of blocks V_d -> V_{d+shift}.
 
-    ``blocks`` holds the materialized window; reading outside it raises
-    WindowError unless the operator carries a builder (internal lazy
-    operators do, spec-surface snapshots do not).  Blocks toward invalid
-    degrees exist with zero rows, so compositions through an empty space
-    are well defined.
+    ``builder(d)`` makes the block on V_d the first time it is read;
+    ``blocks`` caches what has been built.  Blocks toward invalid degrees
+    exist with zero rows, so compositions through an empty space are well
+    defined.
     """
 
     __slots__ = ("space", "shift", "blocks", "builder", "label")
 
-    def __init__(self, space, shift, blocks=None, builder=None, label=""):
+    def __init__(self, space, shift, builder, label=""):
         self.space = space
         self.shift = tuple(shift)
-        self.blocks: dict[DegreeVector, SparseMatrix] = dict(blocks or {})
+        self.blocks: dict[DegreeVector, SparseMatrix] = {}
         self.builder = builder
         self.label = label
 
@@ -267,19 +262,9 @@ class GradedOperator:
         d = tuple(d)
         got = self.blocks.get(d)
         if got is None:
-            if self.builder is None:
-                raise WindowError(
-                    f"block at degree {d} is outside the materialized window"
-                    + (f" of {self.label}" if self.label else "")
-                )
             got = self.builder(d)
             self.blocks[d] = got
         return got
-
-    def snapshot(self, degrees) -> "GradedOperator":
-        """A strict copy materialized exactly on ``degrees``."""
-        blocks = {tuple(d): self.block(d) for d in degrees}
-        return GradedOperator(self.space, self.shift, blocks, None, self.label)
 
     # -- operator algebra -----------------------------------------------
 
@@ -293,20 +278,7 @@ class GradedOperator:
             mid = shift_degree(d, other.shift)
             return self.block(mid) @ other.block(d)
 
-        return GradedOperator(
-            self.space, shift, None, build, f"({self.label}*{other.label})"
-        )
-
-    def add(self, other: "GradedOperator") -> "GradedOperator":
-        if self.shift != other.shift:
-            raise VermalabError("adding operators of different shifts")
-
-        def build(d):
-            return self.block(d) + other.block(d)
-
-        return GradedOperator(
-            self.space, self.shift, None, build, f"({self.label}+{other.label})"
-        )
+        return GradedOperator(self.space, shift, build, f"({self.label}*{other.label})")
 
     def sub(self, other: "GradedOperator") -> "GradedOperator":
         if self.shift != other.shift:
@@ -315,60 +287,16 @@ class GradedOperator:
         def build(d):
             return self.block(d) - other.block(d)
 
-        return GradedOperator(
-            self.space, self.shift, None, build, f"({self.label}-{other.label})"
-        )
+        return GradedOperator(self.space, self.shift, build, f"({self.label}-{other.label})")
 
     def scale(self, c: FieldElem) -> "GradedOperator":
         def build(d):
             return self.block(d).scale(c)
 
-        return GradedOperator(self.space, self.shift, None, build, self.label)
+        return GradedOperator(self.space, self.shift, build, self.label)
 
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
         return self.compose(other).sub(other.compose(self))
-
-    def to_json_dict(self) -> dict:
-        blocks = []
-        for d in sorted(self.blocks):
-            m = self.blocks[d]
-            blocks.append(
-                {
-                    "degree": list(d),
-                    "rows": m.rows,
-                    "cols": m.cols,
-                    "entries": [[r, c, v.text()] for r, c, v in m.sorted_entries()],
-                }
-            )
-        return {"shift": list(self.shift), "blocks": blocks}
-
-
-# -- spec-surface factories ---------------------------------------------------
-
-
-def op_cartan(n: int, i: int, window) -> GradedOperator:
-    """Diagonal operator with scalar x_i/h + d_{i-1} - d_i + i - 1 on V_d."""
-    if not 1 <= i <= n:
-        raise VermalabError(f"cartan index {i} out of range")
-    return lazy_cartan(VermaContext.get(n), i).snapshot(window)
-
-
-def op_e(n: int, i: int, window) -> GradedOperator:
-    if not 1 <= i <= n - 1:
-        raise VermalabError(f"raise index {i} out of range")
-    return lazy_eij(VermaContext.get(n), i + 1, i).snapshot(window)
-
-
-def op_f(n: int, i: int, window) -> GradedOperator:
-    if not 1 <= i <= n - 1:
-        raise VermalabError(f"lower index {i} out of range")
-    return lazy_eij(VermaContext.get(n), i, i + 1).snapshot(window)
-
-
-def op_eij(n: int, i: int, j: int, window) -> GradedOperator:
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise VermalabError("matrix unit indices out of range")
-    return lazy_eij(VermaContext.get(n), i, j).snapshot(window)
 
 
 def fixed_point_to_eigenbasis_scale(n: int, d: DegreeVector) -> FieldElem:
@@ -406,7 +334,7 @@ def lazy_cartan(ctx: VermaContext, i: int) -> GradedOperator:
     def build(d):
         return ctx.diagonal_block(d, ctx.cartan_scalar(i, d))
 
-    return GradedOperator(ctx, (0,) * (ctx.n - 1), None, build, f"E{i}{i}")
+    return GradedOperator(ctx, (0,) * (ctx.n - 1), build, f"E{i}{i}")
 
 
 @_named_operator
@@ -414,7 +342,7 @@ def lazy_eij(ctx: VermaContext, a: int, b: int) -> GradedOperator:
     def build(d):
         return ctx.eij_block(a, b, d)
 
-    return GradedOperator(ctx, root_shift(ctx.n, a, b), None, build, f"E{a}{b}")
+    return GradedOperator(ctx, root_shift(ctx.n, a, b), build, f"E{a}{b}")
 
 
 @_named_operator
@@ -428,12 +356,13 @@ def lazy_scalar(ctx: VermaContext, value: FieldElem) -> GradedOperator:
     def build(d):
         return ctx.diagonal_block(d, value)
 
-    return GradedOperator(ctx, (0,) * (ctx.n - 1), None, build, "scalar")
+    return GradedOperator(ctx, (0,) * (ctx.n - 1), build, "scalar")
 
 
 def operator_sum(ops: list[GradedOperator]) -> GradedOperator:
-    """A new operator whose blocks are the left-to-right sums of the ops'
-    blocks; it never returns one of the ops, so callers may relabel it."""
+    """The one way to add operators: a new operator whose blocks are the
+    left-to-right sums of the ops' blocks; it never returns one of the
+    ops, so callers may relabel it."""
     first = ops[0]
     if any(op.shift != first.shift for op in ops):
         raise VermalabError("adding operators of different shifts")
@@ -444,7 +373,7 @@ def operator_sum(ops: list[GradedOperator]) -> GradedOperator:
             acc = acc + op.block(d)
         return acc
 
-    return GradedOperator(first.space, first.shift, None, build, "+".join(op.label for op in ops))
+    return GradedOperator(first.space, first.shift, build, "+".join(op.label for op in ops))
 
 
 # -- relation verification -----------------------------------------------------

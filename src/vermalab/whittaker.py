@@ -186,7 +186,7 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     def expand(vals):
         """Solve sum_i c_i chosen_vals[i] = vals, one equation per point."""
         m = [[row[idx] for row in chosen_vals] + [vals[idx]] for idx in range(dim)]
-        return solve_rows(m, len(chosen_vals), Fraction(0), Fraction(1))
+        return solve_rows(m, len(chosen_vals), Fraction(0))
 
     bound = 0
     while len(chosen) < dim:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from vermalab.field import FieldElem
+from vermalab.field import FieldElem, VermalabError
 from vermalab.globalverma import (
     GlobalContext,
     apply_to_vec,
@@ -17,12 +17,12 @@ from vermalab.globalverma import (
     eig_global_chern,
     global_whittaker_vector,
     lazy_global,
-    op_global,
+    lazy_global_delta,
     sn_action,
     symmetrize,
     vec_is_invariant,
 )
-from vermalab.patterns import GlobalFixedPoint, Pattern, degree_vectors_upto
+from vermalab.patterns import GlobalFixedPoint, Pattern
 
 
 def test_family_blocks_match_bar_rule_n2():
@@ -127,7 +127,7 @@ def test_invariants_preserved():
 def test_delta_lower_keeps_invariance_explicitly():
     gctx = GlobalContext.get(2)
     inv = symmetrize(2, (1,))[0]
-    fdelta = lazy_global(gctx, "f", 1, 1).add(lazy_global(gctx, "f", 2, 1))
+    fdelta = lazy_global_delta(gctx, "f", 1)
     out_deg, out = apply_to_vec(gctx, fdelta, (1,), inv)
     assert out_deg == (0,)
     if out:
@@ -181,8 +181,9 @@ def test_global_separation():
 
 
 def test_op_global_surface():
-    window = degree_vectors_upto(2, 1)
-    op = op_global(2, 1, "fD", window)
-    assert op.shift == (-1,)
-    with pytest.raises(Exception):
-        op_global(2, 1, "bogus", window)
+    gctx = GlobalContext.get(2)
+    op = lazy_global_delta(gctx, "f", 1)
+    assert op.shift == (-1,) and op.label == "f1(Delta)"
+    assert lazy_global_delta(gctx, "f", 1) is op
+    with pytest.raises(VermalabError, match="unknown operator kind"):
+        lazy_global_delta(gctx, "bogus", 1)

@@ -12,8 +12,7 @@ from vermalab.gtalg import (
     eig_tilde_casimir,
     joint_spectrum,
     lazy_casimir,
-    op_casimir,
-    op_tilde_casimir,
+    lazy_tilde_casimir,
 )
 from vermalab.patterns import Pattern, degree_vectors_upto, enumerate_patterns
 from vermalab.verma import VermaContext
@@ -140,8 +139,13 @@ def test_casimirs_commute():
 
 
 def test_windowed_surface():
+    # the named Casimir operators are diagonal and build each block read
+    c = VermaContext.get(3)
     window = degree_vectors_upto(3, 1)
-    op = op_casimir(3, 2, window)
-    assert op.shift == (0, 0)
-    op2 = op_tilde_casimir(3, 2, window)
-    assert set(op2.blocks) == set(window)
+    op = lazy_casimir(c, 2)
+    assert op.shift == (0, 0) and op.label == "Cas2"
+    op2 = lazy_tilde_casimir(c, 2)
+    assert op2.shift == (0, 0) and op2.label == "tildeCas2"
+    for d in window:
+        op2.block(d)
+    assert set(window) <= set(op2.blocks)

@@ -217,10 +217,32 @@ def test_cli_missing_golden_is_one_line_error(tmp_path):
     _assert_one_line_error(res, 2, "usage error: --golden ")
 
 
+def test_cli_out_must_name_a_writable_file(tmp_path):
+    # --out names the file itself: a directory is a usage error, found
+    # before the suite runs, so nothing reaches stdout
+    res = _run_cli("verify-gl", "--n", "2", "--max-degree", "1", "--out", str(tmp_path))
+    _assert_one_line_error(res, 2, "usage error: --out ")
+    assert res.stdout == ""
+    # any other failed write is one error line: here a parent is a plain file
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    target = plain / "p.json"
+    res = _run_cli("patterns", "--n", "2", "--degree", "1", "--out", str(target))
+    _assert_one_line_error(res, 1, f"error: cannot write {target}: ")
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, "not json", '{"paths": []}', '{"segments": [{"from": [[0.3, 0.0]]}]}', '{"segments": []}'],
-    ids=["missing", "malformed", "no-segments-key", "no-to-key", "empty"],
+    [
+        None,
+        "not json",
+        '{"paths": []}',
+        '{"segments": [{"from": [[0.3, 0.0]]}]}',
+        '{"segments": []}',
+        '{"segments": [{"from": [], "to": []}]}',
+        '{"segments": [{"from": [[0.3, 0.0], [0.5, 0.0]], "to": [[0.0, 0.3], [0.0, 0.5]]}]}',
+    ],
+    ids=["missing", "malformed", "no-segments-key", "no-to-key", "empty", "too-few-q", "too-many-q"],
 )
 def test_cli_bad_monodromy_path_is_usage_error(tmp_path, content):
     path = tmp_path / "loop.json"
