@@ -8,18 +8,23 @@ That makes the representation unique, so ``==`` is mathematical equality.
 Most denominators in this package are products of known irreducible
 factors (linear forms in x and h, and the deformation denominators).
 Elements built through ``from_factors`` carry that factorization along as
-a private hint, and sums and products of hinted elements reduce by exact
-trial division instead of a generic polynomial gcd.  Elements without a
-hint fall back to the generic gcd; either way the stored pair is fully
-reduced, and zero tests are plain numerator tests.
+a private hint ``dfac``: a multiset (``Counter``) of canonical factors
+with den = integer * prod(dfac), or None for no hint.  Each operation has
+one body; only the way it finds the factor to cancel differs.  When both
+operands carry the hint it intersects their factor multisets and cancels
+by exact trial division; otherwise it takes a generic polynomial gcd.
+Either way the stored pair is fully reduced, and zero tests are plain
+numerator tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd as int_gcd
-from typing import Mapping
+from operator import mul
+from typing import Callable, Mapping
 
 from .ring import MultiPoly, PolyRing, exact_div, poly_gcd
 
@@ -40,10 +45,6 @@ class PoleError(VermalabError):
         self.den_text = den_text
 
 
-def _factor_key(f: MultiPoly):
-    return (f.total_degree(), tuple(f.sorted_terms()))
-
-
 def _canon_factor(f: MultiPoly) -> tuple[MultiPoly, Fraction]:
     """Split off content and sign: f = scalar * canonical, canonical
     primitive with positive leading coefficient."""
@@ -58,14 +59,48 @@ def _canon_factor(f: MultiPoly) -> tuple[MultiPoly, Fraction]:
     return f, Fraction(c)
 
 
+def _positive_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    if den.leading()[1] < 0:
+        return -num, -den
+    return num, den
+
+
 def _content_sign_fix(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     g0 = int_gcd(num.content(), den.content())
     if g0 > 1:
         num = num.exact_div_int(g0)
         den = den.exact_div_int(g0)
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    return num, den
+    return _positive_den(num, den)
+
+
+def _is_one(p: MultiPoly) -> bool:
+    return p.is_const() and p.const_value() == 1
+
+
+def _cancel(num: MultiPoly, den: MultiPoly, within):
+    """Cancel from num/den the common factor of num and ``within``.
+
+    ``within`` divides den and is either a polynomial, whose gcd with num
+    is cancelled, or a multiset of known irreducible factors, each tried
+    by exact division of num as often as it occurs.  Returns the reduced
+    pair and the factors of ``within`` left uncancelled (None for a
+    polynomial).
+    """
+    if isinstance(within, MultiPoly):
+        g = poly_gcd(num, within)
+        if _is_one(g):
+            return num, den, None
+        return exact_div(num, g), exact_div(den, g), None
+    cancelled: Counter = Counter()
+    for f, m in within.items():
+        while cancelled[f] < m:
+            q = exact_div(num, f)
+            if q is None:
+                break
+            num = q
+            den = exact_div(den, f)
+            cancelled[f] += 1
+    return num, den, within - cancelled
 
 
 class FieldElem:
@@ -79,7 +114,17 @@ class FieldElem:
             return
         if den.is_zero():
             raise DivisionByZeroError("rational function with zero denominator")
-        num, den = _reduce(num, den)
+        num, nl = num.clear_denominators()
+        den, dl = den.clear_denominators()
+        if nl != 1:
+            den = den.scale(nl)
+        if dl != 1:
+            num = num.scale(dl)
+        if num.is_zero():
+            den = MultiPoly.const(den.ring, 1)
+        else:
+            num, den, _ = _cancel(num, den, den)
+            num, den = _content_sign_fix(num, den)
         self.num = num
         self.den = den
         self.dfac = None
@@ -93,13 +138,13 @@ class FieldElem:
             MultiPoly.const(ring, c.numerator),
             MultiPoly.const(ring, c.denominator),
             _canonical=True,
-            dfac=(),
+            dfac=Counter(),
         )
 
     @classmethod
     def var(cls, ring: PolyRing, name: str) -> "FieldElem":
         return cls(
-            MultiPoly.var(ring, name), MultiPoly.const(ring, 1), _canonical=True, dfac=()
+            MultiPoly.var(ring, name), MultiPoly.const(ring, 1), _canonical=True, dfac=Counter()
         )
 
     @classmethod
@@ -141,17 +186,10 @@ class FieldElem:
         if coeff == 0:
             return cls.zero(ring)
         common = nf & df
-        nf -= common
-        df -= common
-        num = MultiPoly.const(ring, coeff.numerator)
-        for f, m in nf.items():
-            for _ in range(m):
-                num = num * f
-        den = MultiPoly.const(ring, coeff.denominator)
-        dlist = sorted(df.elements(), key=_factor_key)
-        for f in dlist:
-            den = den * f
-        return cls(num, den, _canonical=True, dfac=tuple(dlist))
+        nf, df = nf - common, df - common
+        num = reduce(mul, nf.elements(), MultiPoly.const(ring, coeff.numerator))
+        den = reduce(mul, df.elements(), MultiPoly.const(ring, coeff.denominator))
+        return cls(num, den, _canonical=True, dfac=df)
 
     # -- queries ----------------------------------------------------------
 
@@ -185,29 +223,32 @@ class FieldElem:
             return other
         if other.num.is_zero():
             return self
-        if self.dfac is not None and other.dfac is not None:
-            return _add_hinted(self, other)
-        # reduced addition: any new common factor of num and den divides
-        # g = gcd(d1, d2), so the expensive full gcd is never needed
-        g = poly_gcd(self.den, other.den)
-        if _is_one(g):
+        # reduced addition: any new common factor of num and den divides the
+        # common part g of the two denominators, so no full gcd is needed
+        hinted = self.dfac is not None and other.dfac is not None
+        if hinted:
+            common = self.dfac & other.dfac
+            g = reduce(mul, common.elements()) if common else None
+        else:
+            g = poly_gcd(self.den, other.den)
+            g = common = None if _is_one(g) else g
+        if g is None:
             num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return FieldElem.zero(self.ring)
-            num, den = _content_sign_fix(num, self.den * other.den)
-            return FieldElem(num, den, _canonical=True)
-        db = exact_div(self.den, g)
-        dd = exact_div(other.den, g)
-        num = self.num * dd + other.num * db
+            den_self = self.den
+        else:
+            den_self = exact_div(self.den, g)
+            den_other = exact_div(other.den, g)
+            num = self.num * den_other + other.num * den_self
         if num.is_zero():
             return FieldElem.zero(self.ring)
-        den = db * other.den
-        h2 = poly_gcd(num, g)
-        if not _is_one(h2):
-            num = exact_div(num, h2)
-            den = exact_div(den, h2)
+        den = den_self * other.den
+        left = common
+        if g is not None:
+            num, den, left = _cancel(num, den, common)
         num, den = _content_sign_fix(num, den)
-        return FieldElem(num, den, _canonical=True)
+        # den lost one copy of the common factors, then the cancelled ones
+        dfac = self.dfac + other.dfac - common - (common - left) if hinted else None
+        return FieldElem(num, den, _canonical=True, dfac=dfac)
 
     def __neg__(self) -> "FieldElem":
         return FieldElem(-self.num, self.den, _canonical=True, dfac=self.dfac)
@@ -219,17 +260,12 @@ class FieldElem:
         other = self._coerce(other)
         if self.num.is_zero() or other.num.is_zero():
             return FieldElem.zero(self.ring)
-        if self.dfac is not None and other.dfac is not None:
-            return _mul_hinted(self, other)
         # cross-cancel so the remaining product is already reduced
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if _is_one(g1) else exact_div(self.num, g1)
-        d2 = other.den if _is_one(g1) else exact_div(other.den, g1)
-        n2 = other.num if _is_one(g2) else exact_div(other.num, g2)
-        d1 = self.den if _is_one(g2) else exact_div(self.den, g2)
+        hinted = self.dfac is not None and other.dfac is not None
+        n1, d2, left2 = _cancel(self.num, other.den, other.dfac if hinted else other.den)
+        n2, d1, left1 = _cancel(other.num, self.den, self.dfac if hinted else self.den)
         num, den = _content_sign_fix(n1 * n2, d1 * d2)
-        return FieldElem(num, den, _canonical=True)
+        return FieldElem(num, den, _canonical=True, dfac=left1 + left2 if hinted else None)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         other = self._coerce(other)
@@ -289,54 +325,41 @@ class FieldElem:
     def substitute(self, assignment: Mapping[str, int | Fraction]) -> "FieldElem":
         """Exact partial substitution of some variables by rationals."""
         point = {i: Fraction(v) for i, v in self._var_indices(assignment).items()}
-        num = self.num.substitute(point)
         den = self.den.substitute(point)
         if den.is_zero():
             raise PoleError(self.den.text())
-        ni, nl = num.clear_denominators()
-        di, dl = den.clear_denominators()
-        return FieldElem(ni.scale(dl), di.scale(nl))
+        return FieldElem(self.num.substitute(point), den)
+
+    def _map(self, f: Callable[[MultiPoly], MultiPoly]) -> "FieldElem":
+        """Apply a variable map f that sends each canonical factor to a
+        canonical factor up to sign, so the reduced form only needs its
+        sign fixed."""
+        num, den = _positive_den(f(self.num), f(self.den))
+        dfac = None
+        if self.dfac is not None:
+            dfac = Counter(_canon_factor(f(p))[0] for p in self.dfac.elements())
+        return FieldElem(num, den, _canonical=True, dfac=dfac)
 
     def permute_x(self, sigma: tuple[int, ...]) -> "FieldElem":
         """Apply x_j -> x_{sigma(j)} (sigma in one-line notation, 1-based)."""
         idx = self.ring.index
         mapping = {idx[f"x{j}"]: idx[f"x{sigma[j - 1]}"] for j in range(1, len(sigma) + 1)}
-        num = self.num.permute_vars(mapping)
-        den = self.den.permute_vars(mapping)
-        dfac = None
-        if self.dfac is not None:
-            parts = [_canon_factor(f.permute_vars(mapping)) for f in self.dfac]
-            dfac = tuple(sorted((f for f, _ in parts), key=_factor_key))
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return FieldElem(num, den, _canonical=True, dfac=dfac)
+        return self._map(lambda p: p.permute_vars(mapping))
 
     def bar(self) -> "FieldElem":
         """Apply h -> -h."""
         hv = self.ring.index["h"]
-        num = self.num.flip_var_sign(hv)
-        den = self.den.flip_var_sign(hv)
-        dfac = None
-        if self.dfac is not None:
-            parts = [_canon_factor(f.flip_var_sign(hv)) for f in self.dfac]
-            dfac = tuple(sorted((f for f, _ in parts), key=_factor_key))
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return FieldElem(num, den, _canonical=True, dfac=dfac)
+        return self._map(lambda p: p.flip_var_sign(hv))
 
     def derivative(self, name: str) -> "FieldElem":
         v = self.ring.index[name]
         num = self.num.derivative(v) * self.den - self.num * self.den.derivative(v)
         if num.is_zero():
             return FieldElem.zero(self.ring)
-        if self.dfac is not None:
-            den_ms = Counter(self.dfac)
-            den_ms.update(self.dfac)
-            den = self.den * self.den
-            num, den, dfac = _cancel_known(num, den, den_ms)
-            num, den = _content_sign_fix(num, den)
-            return FieldElem(num, den, _canonical=True, dfac=dfac)
-        return FieldElem(num, self.den * self.den)
+        den = self.den * self.den
+        num, den, left = _cancel(num, den, den if self.dfac is None else self.dfac + self.dfac)
+        num, den = _content_sign_fix(num, den)
+        return FieldElem(num, den, _canonical=True, dfac=left)
 
     # -- serialization -----------------------------------------------------------
 
@@ -349,103 +372,9 @@ class FieldElem:
         return f"FieldElem({self.text()})"
 
 
-def _is_one(p: MultiPoly) -> bool:
-    return p.is_const() and p.const_value() == 1
-
-
 def _flipped(fe: FieldElem) -> FieldElem:
     """Reciprocal of an already-reduced element; only the sign needs fixing.
     The factored-denominator hint does not survive (the old numerator's
     factorization is unknown)."""
-    num, den = fe.den, fe.num
-    if den.leading()[1] < 0:
-        num, den = -num, -den
+    num, den = _positive_den(fe.den, fe.num)
     return FieldElem(num, den, _canonical=True)
-
-
-def _cancel_known(num: MultiPoly, den: MultiPoly, den_ms: Counter):
-    """Cancel known irreducible denominator factors out of num by trial
-    division; returns reduced (num, den, sorted factor tuple)."""
-    for f in sorted(den_ms, key=_factor_key):
-        budget = den_ms[f]
-        while budget > 0:
-            q = exact_div(num, f)
-            if q is None:
-                break
-            num = q
-            den = exact_div(den, f)
-            budget -= 1
-            den_ms[f] -= 1
-        if den_ms[f] == 0:
-            del den_ms[f]
-    dfac = tuple(sorted(den_ms.elements(), key=_factor_key))
-    return num, den, dfac
-
-
-def _add_hinted(a: FieldElem, b: FieldElem) -> FieldElem:
-    ma, mb = Counter(a.dfac), Counter(b.dfac)
-    common = ma & mb
-    if common:
-        gprod = None
-        for f, m in common.items():
-            for _ in range(m):
-                gprod = f if gprod is None else gprod * f
-        da = exact_div(a.den, gprod)
-        db = exact_div(b.den, gprod)
-        num = a.num * db + b.num * da
-        if num.is_zero():
-            return FieldElem.zero(a.ring)
-        den = da * b.den
-        den_ms = ma + mb
-        den_ms.subtract(common)
-        den_ms = +den_ms
-        # only the old common part can reappear in num
-        reducible = Counter(dict(common.items()))
-        num2, den2, _ = _cancel_known(num, den, reducible)
-        cancelled = common - reducible
-        den_ms.subtract(cancelled)
-        den_ms = +den_ms
-        num, den = num2, den2
-        dfac = tuple(sorted(den_ms.elements(), key=_factor_key))
-    else:
-        num = a.num * b.den + b.num * a.den
-        if num.is_zero():
-            return FieldElem.zero(a.ring)
-        den = a.den * b.den
-        dfac = tuple(sorted((ma + mb).elements(), key=_factor_key))
-    num, den = _content_sign_fix(num, den)
-    return FieldElem(num, den, _canonical=True, dfac=dfac)
-
-
-def _mul_hinted(a: FieldElem, b: FieldElem) -> FieldElem:
-    ma, mb = Counter(a.dfac), Counter(b.dfac)
-    n1, d2 = a.num, b.den
-    if mb:
-        n1, d2, _ = _cancel_known(n1, d2, mb)
-    n2, d1 = b.num, a.den
-    if ma:
-        n2, d1, _ = _cancel_known(n2, d1, ma)
-    num = n1 * n2
-    den = d1 * d2
-    den_ms = ma + mb
-    num, den = _content_sign_fix(num, den)
-    return FieldElem(
-        num, den, _canonical=True, dfac=tuple(sorted(den_ms.elements(), key=_factor_key))
-    )
-
-
-def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    num, nl = num.clear_denominators()
-    den, dl = den.clear_denominators()
-    if nl != 1:
-        den = den.scale(nl)
-    if dl != 1:
-        num = num.scale(dl)
-    if num.is_zero():
-        return num, MultiPoly.const(den.ring, 1)
-    g = poly_gcd(num, den)
-    if not _is_one(g):
-        num = exact_div(num, g)
-        den = exact_div(den, g)
-    return _content_sign_fix(num, den)
-

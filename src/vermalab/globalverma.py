@@ -188,20 +188,6 @@ def check_double_relations(n: int, dmax: int):
     return results
 
 
-def check_delta_sums(n: int, dmax: int):
-    """fDelta and eDelta agree with the family sums, block by block."""
-    gctx = GlobalContext.get(n)
-    degrees = degree_vectors_upto(n, dmax)
-    results = []
-    for kind in ("e", "f"):
-        for i in range(1, n):
-            delta = lazy_global_delta(gctx, kind, i)
-            one, two = lazy_global(gctx, kind, 1, i), lazy_global(gctx, kind, 2, i)
-            ok = all((delta.block(d) - (one.block(d) + two.block(d))).is_zero() for d in degrees)
-            results.append((f"{kind}{i}(Delta)=sum", "diagonal operator is the family sum", ok, None))
-    return results
-
-
 # -- symmetric group action ---------------------------------------------------
 
 
@@ -320,7 +306,7 @@ def check_global_whittaker(n: int, d: DegreeVector):
     results = []
     hinv = gctx.local.hinv
     for i in range(1, n):
-        lower = tuple(c - (1 if j == i - 1 else 0) for j, c in enumerate(d))
+        lower = shift_degree(d, ef_shift(n, "f", i))
         if not degree_valid(lower):
             continue
         want = {fp: v * hinv for fp, v in global_whittaker_vector(n, lower).items()}

@@ -65,7 +65,7 @@ def q_coefficient(n: int, i: int, k: int, j: int) -> FieldElem:
     # den = 1 + sum of squarefree q-monomials is irreducible: it is linear
     # in q_{i+1} with coprime coefficient and remainder (both contain 1 or
     # a monomial free of q_{i+1}); keep it as a reduction hint
-    return FieldElem(num, den, _canonical=True, dfac=(den,))
+    return FieldElem.from_factors(ring, 1, [num], [den])
 
 
 @_named_operator

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .field import FieldElem, VermalabError
 from .gtalg import eig_det_bundle, joint_spectrum
 from .linalg import solve_linear, solve_rows, vstack
-from .patterns import DegreeVector, Pattern, _first_collision, degree_valid, degree_vectors_upto
-from .verma import VermaContext
+from .patterns import DegreeVector, Pattern, _first_collision, degree_valid, degree_vectors_upto, shift_degree
+from .verma import VermaContext, ef_shift
 
 
 class SolveError(VermalabError):
@@ -75,7 +75,7 @@ class WhittakerSolver:
             for i in range(1, ctx.n):
                 if d[i - 1] < 1:
                     continue
-                lower = tuple(c - (1 if j == i - 1 else 0) for j, c in enumerate(d))
+                lower = shift_degree(d, ef_shift(ctx.n, "f", i))
                 prev = self.component(lower)
                 blocks.append(ctx.f_block(i, d))
                 rhs.extend(v * ctx.hinv for v in prev.vector(ctx))

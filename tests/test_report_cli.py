@@ -314,6 +314,22 @@ def test_cli_monodromy_spec_missing_variable_is_one_line_error(tmp_path):
     _assert_one_line_error(res, 1, "error: assignment misses variables: x2, x3")
 
 
+def test_cli_monodromy_open_path_fails_with_endpoints(tmp_path):
+    # an open path is a verdict, not an error: the loop check fails with
+    # the two endpoints as its witness and the transport is still written
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"segments": [{"from": [[0.3, 0.0]], "to": [[0.0, 0.3]]}]}))
+    out = tmp_path / "transport.json"
+    res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(path), "--out", str(out))
+    assert res.returncode == 1, res.stderr
+    assert "error" not in res.stderr
+    lines = res.stdout.splitlines()
+    at = lines.index("  [FAIL    ] path is a loop")
+    assert lines[at + 1].strip() == "witness: starts at [[0.3, 0.0]], ends at [[0.0, 0.3]]"
+    assert "1 pass, 1 fail, 0 finding, 0 vacuous" in res.stdout
+    assert json.loads(out.read_text())["dimension"] == 2
+
+
 def test_cli_outputs_identical_across_hash_seeds(tmp_path):
     runs = [
         ("qc-check", "--n", "3", "--degree", "1,1"),

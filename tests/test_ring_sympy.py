@@ -12,6 +12,7 @@ and qc-deformed workloads (``data/exact_div_corpus.json``, written by
 """
 
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -281,3 +282,76 @@ def test_generic_field_values_match_sympy(elems):
 def test_generic_field_form_matches_sympy_cancel(elems):
     for got, num, den in _sums_and_products(elems):
         assert (got.num.terms, got.den.terms) == _cancelled(num, den)
+
+
+def _hint_is_exact(fe: FieldElem) -> bool:
+    """den = integer * prod(dfac), every factor primitive, nonconstant and
+    with a positive leading coefficient."""
+    factors = list(fe.dfac.elements())
+    canonical = all(not f.is_const() and f.content() == 1 and f.leading()[1] > 0 for f in factors)
+    rest = exact_div(fe.den, _product(fe.ring, factors))
+    return canonical and rest is not None and rest.is_const()
+
+
+def _subs(p: "sympy.Poly", mapping: dict) -> "sympy.Poly":
+    return sympy.Poly(p.as_expr().subs(mapping, simultaneous=True), *p.gens, domain="ZZ")
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.sampled_from(RINGS), st.data())
+def test_hint_survives_chained_operations(ring, data):
+    # hinted elements built from linear forms over a small shared pool of
+    # denominators, which numerators draw from too, so sums and products
+    # meet factors to cancel, and one generic element;
+    # every step is checked against sympy on (num, den) pairs, and every
+    # hinted result must keep den = integer * prod(dfac) and be fully reduced
+    dens = data.draw(st.lists(linear_forms(ring), min_size=1, max_size=3, unique_by=lambda f: f.text()))
+    elems = [
+        FieldElem.from_factors(
+            ring,
+            data.draw(st.integers(-3, 3).filter(bool)),
+            data.draw(st.lists(st.one_of(st.sampled_from(dens), linear_forms(ring)), max_size=2)),
+            data.draw(st.lists(st.sampled_from(dens), min_size=1, max_size=2)),
+        )
+        for _ in range(3)
+    ]
+    elems.append(FieldElem(data.draw(linear_forms(ring)), data.draw(linear_forms(ring))))
+    assert elems[-1].dfac is None
+    want = [(_sym(e.num), _sym(e.den)) for e in elems]
+    gens = want[0][0].gens
+    sym = dict(zip(ring.names, gens))
+    xs = [name for name in ring.names if name.startswith("x")]
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(["+", "-", "*", "/", "d", "bar", "permute"]))
+        i = data.draw(st.integers(0, len(elems) - 1))
+        a, (an, ad) = elems[i], want[i]
+        if op in "+-*/":
+            j = data.draw(st.integers(0, len(elems) - 1))
+            b, (bn, bd) = elems[j], want[j]
+            if op == "/" and b.is_zero():
+                continue
+            got = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](a, b)
+            num, den = {
+                "+": (an * bd + bn * ad, ad * bd),
+                "-": (an * bd - bn * ad, ad * bd),
+                "*": (an * bn, ad * bd),
+                "/": (an * bd, ad * bn),
+            }[op]
+        elif op == "d":
+            v = data.draw(st.sampled_from(ring.names))
+            got = a.derivative(v)
+            num, den = an.diff(sym[v]) * ad - an * ad.diff(sym[v]), ad * ad
+        elif op == "bar":
+            got = a.bar()
+            num, den = (_subs(p, {sym["h"]: -sym["h"]}) for p in (an, ad))
+        else:
+            sigma = tuple(data.draw(st.permutations(range(1, len(xs) + 1))))
+            got = a.permute_x(sigma)
+            mapping = {sym[f"x{k}"]: sym[f"x{sigma[k - 1]}"] for k in range(1, len(xs) + 1)}
+            num, den = (_subs(p, mapping) for p in (an, ad))
+        assert _sym(got.num) * den == num * _sym(got.den)
+        if got.dfac is not None:
+            assert _hint_is_exact(got), (op, got, got.dfac)
+            assert (got.num.terms, got.den.terms) == _cancelled(num, den)
+        elems.append(got)
+        want.append((num, den))
