@@ -73,6 +73,14 @@ def _content_sign_fix(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiP
     return _positive_den(num, den)
 
 
+def _scaled_product(ring: PolyRing, c: int, factors: Counter) -> MultiPoly:
+    """c * prod(factors), the first factor scaled rather than multiplied."""
+    if not factors:
+        return MultiPoly.const(ring, c)
+    first, *rest = factors.elements()
+    return reduce(mul, rest, first if c == 1 else first.scale(c))
+
+
 def _is_one(p: MultiPoly) -> bool:
     return p.is_const() and p.const_value() == 1
 
@@ -187,8 +195,8 @@ class FieldElem:
             return cls.zero(ring)
         common = nf & df
         nf, df = nf - common, df - common
-        num = reduce(mul, nf.elements(), MultiPoly.const(ring, coeff.numerator))
-        den = reduce(mul, df.elements(), MultiPoly.const(ring, coeff.denominator))
+        num = _scaled_product(ring, coeff.numerator, nf)
+        den = _scaled_product(ring, coeff.denominator, df)
         return cls(num, den, _canonical=True, dfac=df)
 
     # -- queries ----------------------------------------------------------
@@ -278,7 +286,7 @@ class FieldElem:
             return other
         if isinstance(other, (int, Fraction)):
             return FieldElem.from_rational(self.ring, other)
-        return NotImplemented
+        raise TypeError(f"unsupported operand type for FieldElem arithmetic: {type(other).__name__!r}")
 
     __radd__ = __add__
     __rmul__ = __mul__

@@ -241,7 +241,13 @@ class ConnectionSpec:
     """Numerical restriction of the deformed connection to one weight space.
 
     x and h are specialized to rationals; kappa is the connection scale.
-    Operators are kept as exact entries and evaluated at complex q points.
+    The exact entries (``blocks``) are compiled once into float matrices:
+    ``exponents`` holds every q-monomial of any numerator or denominator,
+    one row each in sorted order, and row ``(k, r, c)`` of ``numerators``
+    and ``denominators`` holds the coefficients of block entry (r, c) of
+    QC_k on those monomials (an absent entry is 0 / 1).  The integrator
+    evaluates the compiled form; ``matrix_at`` is the exact evaluation
+    that certifies it.
     """
 
     def __init__(self, n: int, d: DegreeVector, kappa: Fraction, specialization: dict[str, Fraction]):
@@ -269,12 +275,69 @@ class ConnectionSpec:
         missing = sorted(ctx.ring.names[i] for i in left if ctx.ring.names[i] not in self.qnames)
         if missing:
             raise VermalabError(f"assignment misses variables: {', '.join(missing)}")
+        self._compile(ctx.ring)
+
+    def _compile(self, ring) -> None:
+        qidx = [ring.index[name] for name in self.qnames]
+        absent = (MultiPoly.zero(ring), MultiPoly.const(ring, 1))
+        pairs = []
+        for k in range(2, self.n):
+            for r in range(self.dim):
+                for c in range(self.dim):
+                    v = self.blocks[k].get((r, c))
+                    pairs.append(absent if v is None else (v.num, v.den))
+
+        def q_exponent(e):
+            return tuple(e[i] for i in qidx)
+
+        # sorted rows fix the float summation order across runs and hash seeds
+        monomials = sorted({q_exponent(e) for pair in pairs for p in pair for e in p.terms})
+        rows = {e: m for m, e in enumerate(monomials)}
+        self.exponents = np.array(monomials, dtype=int)
+        self.numerators = np.zeros((len(pairs), len(monomials)))
+        self.denominators = np.zeros((len(pairs), len(monomials)))
+        for row, pair in enumerate(pairs):
+            for out, p in zip((self.numerators, self.denominators), pair):
+                for e, coeff in p.terms.items():
+                    out[row, rows[q_exponent(e)]] = float(coeff)
+        self._neg_kappa = -float(self.kappa)
+
+    def blocks_at(self, q: list[complex]) -> np.ndarray:
+        """Every QC_k block at the point q (coordinates in ``qnames``
+        order) from the compiled matrices; shape (n-2, dim, dim)."""
+        m = np.prod(np.asarray(q) ** self.exponents, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = (self.numerators @ m) / (self.denominators @ m)
+        if not np.isfinite(vals).all():
+            raise VermalabError(f"the connection is not finite at q = {list(q)}")
+        return vals.reshape(self.n - 2, self.dim, self.dim)
+
+    def generator(self, q: list[complex], deltas: list[complex]) -> np.ndarray:
+        """sum_k -kappa * deltas[k] * QC_k(q): the transport generator of a
+        segment with log increments ``deltas``."""
+        return np.tensordot(self._neg_kappa * np.asarray(deltas), self.blocks_at(q), axes=1)
 
     def matrix_at(self, q: dict[str, complex], k: int) -> np.ndarray:
+        """The QC_k block at q, each exact entry evaluated on its own."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for (r, c), v in self.blocks[k].items():
             out[r, c] = v.evaluate_complex(q)
         return out
+
+    def certify(self, q: list[complex]) -> None:
+        """Check the compiled blocks against the exact ones at q.
+
+        A vanishing denominator raises the exact ``PoleError``; a block
+        whose compiled values differ from the exact ones by more than
+        1e-10 times max(1, its largest exact entry) raises
+        ``VermalabError``.
+        """
+        qmap = dict(zip(self.qnames, q))
+        exact = [self.matrix_at(qmap, k) for k in range(2, self.n)]
+        for k, got, want in zip(range(2, self.n), self.blocks_at(q), exact):
+            gap = float(np.max(np.abs(got - want)))
+            if gap > _CERTIFY_RTOL * max(1.0, float(np.max(np.abs(want)))):
+                raise VermalabError(f"compiled QC{k} is off by {gap:.3e} at q = {list(q)}")
 
 
 class Segment:
@@ -303,14 +366,7 @@ class Segment:
 
 
 def _rhs(spec: ConnectionSpec, seg: Segment, t: float, y: np.ndarray) -> np.ndarray:
-    qs = seg.point(t)
-    qmap = dict(zip(spec.qnames, qs))
-    kappa = float(spec.kappa)
-    total = np.zeros_like(y)
-    for idx, k in enumerate(range(2, spec.n)):
-        m = spec.matrix_at(qmap, k)
-        total = total - kappa * seg.deltas[idx] * (m @ y)
-    return total
+    return spec.generator(seg.point(t), seg.deltas) @ y
 
 
 _DP_A = (
@@ -329,6 +385,7 @@ _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _LOCAL_TOL = 1e-10  # local error tolerance of the main run; the control run uses 1/100 of it
 _MAX_STEPS = 200_000  # step budget per segment
 _CIRCLE_PIECES = 6  # segments of a circle_loop; a full turn needs at least 3
+_CERTIFY_RTOL = 1e-10  # compiled vs exact blocks at the path's segment endpoints
 
 
 def _transport_segment(spec: ConnectionSpec, seg: Segment, y: np.ndarray, tol: float) -> np.ndarray:
@@ -374,7 +431,12 @@ def monodromy_transport(spec: ConnectionSpec, path: list[Segment]) -> tuple[np.n
 
     Returns (matrix, error_estimate); the estimate is the max-norm gap to
     a control run at local tolerance /100, a step-refinement bound.
+    The compiled connection is first certified against the exact one at
+    every segment's endpoints.
     """
+    for seg in path:
+        spec.certify(seg.start)
+        spec.certify(seg.end)
     runs = []
     for tol in (_LOCAL_TOL, _LOCAL_TOL / 100.0):
         y = np.eye(spec.dim, dtype=complex)

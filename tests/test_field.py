@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic: canonical forms, field laws, eval."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,13 @@ def test_eval_examples():
         (ONE / H).evaluate({"h": 0})
     q2 = H  # reuse a variable as a stand-in: q/(1+q) at q=1 is 1/2
     assert (q2 / (1 + q2)).evaluate({"h": 1}) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_float_operand_is_a_type_error_in_both_orders(op):
+    for a, b in ((ONE, 1.5), (1.5, ONE)):
+        with pytest.raises(TypeError, match="float"):
+            op(a, b)
 
 
 def test_eval_requires_all_used_variables():

@@ -1,7 +1,9 @@
 """Report determinism, golden machinery, and the command-line contract."""
 
 import argparse
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,13 +332,34 @@ def test_cli_monodromy_open_path_fails_with_endpoints(tmp_path):
     assert json.loads(out.read_text())["dimension"] == 2
 
 
+def test_cli_monodromy_pole_at_an_endpoint_is_one_line_error(tmp_path):
+    # q2 = -1 is a pole of the connection (its denominator is q2 + 1); the
+    # endpoint certificate stops the run before any step is taken
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({"segments": [
+        {"from": [[-1, 0]], "to": [[0, 1]]},
+        {"from": [[0, 1]], "to": [[-1, 0]]},
+    ]}))
+    res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(path))
+    assert res.returncode == 1
+    assert res.stderr == "error: denominator vanishes at the point: q2 + 1\n"
+
+
 def test_cli_outputs_identical_across_hash_seeds(tmp_path):
+    # a three-segment loop of q2 around 0, the fewest segments a loop takes
+    pts = [0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(4)]
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"segments": [
+        {"from": [[a.real, a.imag]], "to": [[b.real, b.imag]]} for a, b in zip(pts, pts[1:])
+    ]}))
     runs = [
         ("qc-check", "--n", "3", "--degree", "1,1"),
         ("global-verify", "--n", "2", "--max-degree", "2"),
         ("ktheory", "--n", "3", "--max-degree", "2"),
         # the generic field path: heuristic gcd and exact division
         ("whittaker", "--n", "3", "--degree", "1,1"),
+        # the compiled connection: float sums in a fixed order
+        ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(loop)),
     ]
     outputs = {}
     for seed in ("0", "12345"):
@@ -349,6 +372,6 @@ def test_cli_outputs_identical_across_hash_seeds(tmp_path):
         for path in sorted(out_dir.iterdir()):
             outputs[(seed, path.name)] = path.read_bytes()
     files = sorted(key[1] for key in outputs if key[0] == "0" and len(key) == 2)
-    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table", "r3.json", "r3.json.component"]
+    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table", "r3.json", "r3.json.component", "r4.json"]
     for key in [k for k in outputs if k[0] == "0"]:
         assert outputs[key] == outputs[("12345",) + key[1:]], key

@@ -9,14 +9,16 @@ the source formulas and are asserted here as computed.
 
 import cmath
 import math
+import random
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vermalab.field import FieldElem
+from vermalab.field import FieldElem, VermalabError
 from vermalab.gtalg import lazy_casimir, lazy_tilde_casimir
 from vermalab.patterns import degree_vectors_upto
 from vermalab.shiftarg import (
@@ -246,3 +248,44 @@ def test_homotopic_loops_agree():
 def test_path_endpoints_must_avoid_origin():
     with pytest.raises(Exception):
         Segment([0.0 + 0j], [1.0 + 0j])
+
+
+SPEC4 = {"x1": 0, "x2": Fraction(1, 3), "x3": Fraction(5, 7), "x4": Fraction(3, 2), "h": 1}
+
+
+@pytest.mark.parametrize(
+    "n, d, spec",
+    [(3, (1, 1), SPEC), (4, (1, 1, 1), SPEC4), (4, (1, 1, 0), SPEC4)],
+    ids=["n3-d11", "n4-d111", "n4-d110-absent-entries"],
+)
+def test_compiled_blocks_match_exact_evaluation(n, d, spec):
+    conn = ConnectionSpec(n, d, Fraction(1, 2), spec)
+    if d == (1, 1, 0):
+        # QC_3 has entries that are identically zero on this block
+        assert len(conn.blocks[3]) < conn.dim**2
+    rng = random.Random(20081)
+    for _ in range(20):
+        q = [cmath.rect(rng.uniform(0.2, 2.0), rng.uniform(-math.pi, math.pi)) for _ in conn.qnames]
+        qmap = dict(zip(conn.qnames, q))
+        compiled = conn.blocks_at(q)
+        for idx, k in enumerate(range(2, n)):
+            exact = conn.matrix_at(qmap, k)
+            assert np.allclose(compiled[idx], exact, rtol=1e-10, atol=1e-12), (k, q)
+        deltas = [complex(1, k) for k in range(2, n)]
+        generator = sum(-0.5 * delta * conn.matrix_at(qmap, k) for delta, k in zip(deltas, range(2, n)))
+        assert np.allclose(conn.generator(q, deltas), generator, rtol=1e-10, atol=1e-12)
+
+
+def test_compiled_pole_is_an_error_not_a_warning():
+    conn = _connection()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VermalabError, match="not finite"):
+            conn.blocks_at([-1.0 + 0j])
+
+
+def test_endpoint_certificate_rejects_a_wrong_compilation():
+    conn = _connection()
+    conn.numerators = conn.numerators * (1 + 1e-6)
+    with pytest.raises(VermalabError, match="compiled QC2 is off"):
+        monodromy_transport(conn, circle_loop([0.3 + 0j], 0, 0.3))
