@@ -55,13 +55,17 @@ def _fraction(flag: str, text: str) -> Fraction:
         raise UsageError(f"{flag} needs a rational number, got {text!r}") from None
 
 
-def _parse_spec(text: str) -> dict[str, Fraction]:
+def _parse_spec(text: str, n: int) -> dict[str, Fraction]:
+    """The rational point of a --spec value; it may only name x1..xn and h."""
+    names = [f"x{i}" for i in range(1, n + 1)] + ["h"]
     out = {}
     for chunk in text.split(","):
         if "=" not in chunk:
             raise UsageError(f"bad --spec entry {chunk!r}: needs name=value")
-        name, value = chunk.split("=", 1)
-        out[name.strip()] = _fraction(f"--spec {name.strip()}", value.strip())
+        name, value = (s.strip() for s in chunk.split("=", 1))
+        if name not in names:
+            raise UsageError(f"--spec names {name!r}, which is not one of {', '.join(names)}")
+        out[name] = _fraction(f"--spec {name}", value)
     return out
 
 
@@ -199,7 +203,7 @@ def _dispatch(args) -> tuple:
             write_text(args.out + ".component", _json_text(comp))
         return _report(args, rep)
     if cmd == "ring":
-        spec = _parse_spec(args.spec) if args.spec is not None else None
+        spec = _parse_spec(args.spec, args.n) if args.spec is not None else None
         rep, table = suites.suite_ring(args.n, _require_degree(args), spec)
         return rep, _json_text(table)
     if cmd == "qc-check":
@@ -207,13 +211,14 @@ def _dispatch(args) -> tuple:
     if cmd == "flatness":
         return _report(args, suites.suite_flatness(args.n, _require_degree(args)))
     if cmd == "monodromy":
+        spec = _parse_spec(args.spec, args.n)
         segments = _load_segments(args.path)
         if any(len(seg[end]) != args.n - 2 for seg in segments for end in ("from", "to")):
             raise UsageError(f"path file {args.path}: every point needs n-2 = {args.n - 2} q coordinates")
         rep, out = suites.suite_monodromy(
             args.n,
             _require_degree(args),
-            _parse_spec(args.spec),
+            spec,
             _fraction("--kappa", args.kappa),
             segments,
             tolerance=args.tolerance,

@@ -19,7 +19,6 @@ from .linalg import SparseMatrix
 from .patterns import (
     DegreeVector,
     GlobalFixedPoint,
-    _first_collision,
     degree_valid,
     degree_vectors_upto,
     enumerate_global_fixed_points,
@@ -372,28 +371,3 @@ def cartan_from_chern(fp: GlobalFixedPoint, i: int) -> tuple[FieldElem, FieldEle
     computed = c1_closed_form(fp, i - 1) - c1_closed_form(fp, i) - ctx.h * (di - dprev)
     expected = ctx.x[fp.sigma[i - 1]]
     return computed, expected
-
-
-def global_joint_chern_spectrum(n: int, d: DegreeVector):
-    """Tuples of all global Chern eigenvalues per fixed point; used for the
-    double separation check."""
-    gctx = GlobalContext.get(n)
-    basis = gctx.basis(tuple(d))
-    labels = []
-    funcs = []
-    for i in range(1, n):
-        for j in range(1, i + 1):
-            for part in ("diag", "kunneth"):
-                labels.append(f"c{j}(W{i})[{part}]")
-                funcs.append(lambda fp, i=i, j=j, part=part: eig_global_chern(fp, i, j, part))
-    table = {fp: tuple(f(fp) for f in funcs) for fp in basis}
-    return labels, table
-
-
-def check_global_separation(n: int, d: DegreeVector):
-    """(vacuous, separated, witness) for the global Chern spectrum."""
-    _, table = global_joint_chern_spectrum(n, d)
-    if len(table) <= 1:
-        return True, True, None
-    pair = _first_collision(table, key=GlobalFixedPoint.sort_key)
-    return False, pair is None, pair

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .field import FieldElem, VermalabError
-from .patterns import DegreeVector, Pattern, _first_collision, gt_pattern
+from .patterns import DegreeVector, Pattern, gt_value
 from .verma import (
     GradedOperator,
     VermaContext,
@@ -24,15 +24,6 @@ from .verma import (
     lazy_scalar,
     operator_sum,
 )
-
-
-class JointSpectrum:
-    __slots__ = ("degree", "labels", "table")
-
-    def __init__(self, degree: DegreeVector, labels: list[str], table: dict[Pattern, tuple[FieldElem, ...]]):
-        self.degree = tuple(degree)
-        self.labels = list(labels)
-        self.table = table
 
 
 # -- assembled operators ----------------------------------------------------
@@ -65,10 +56,9 @@ def lazy_tilde_casimir(ctx: VermaContext, k: int) -> GradedOperator:
 
 def eig_casimir(p: Pattern, k: int) -> FieldElem:
     """sum_j lam_kj (lam_kj + k - 2j + 1) over the pattern's row k."""
-    gt = gt_pattern(p)
     total = None
     for j in range(1, k + 1):
-        lam = gt.value(k, j)
+        lam = gt_value(p, k, j)
         term = lam * (lam + (k - 2 * j + 1))
         total = term if total is None else total + term
     return total
@@ -178,46 +168,39 @@ def casimir_diagonality_defects(n: int, k: int, d: DegreeVector, corrected: bool
     return offdiag_ok, eigen_ok, witness
 
 
-def joint_spectrum(n: int, d: DegreeVector, generators: str) -> JointSpectrum:
-    """Eigenvalue tuples per pattern for one of the named generator sets.
+def det_bundle_indices(d: DegreeVector) -> list[int]:
+    """The k >= 2 with d_k != 0 != d_{k-1}: the determinant classes that
+    generate the degree-d ring."""
+    return [k for k in range(2, len(d) + 1) if d[k - 1] != 0 and d[k - 2] != 0]
+
+
+def chern_generators(n: int, eig) -> list:
+    """(label, eigenvalue) pairs of all diagonal and Kunneth Chern
+    components, for ``eig(point, i, j, part)``."""
+    return [
+        (f"c{j}(W{i})[{part}]", lambda p, i=i, j=j, part=part: eig(p, i, j, part))
+        for i in range(1, n)
+        for j in range(1, i + 1)
+        for part in ("diag", "kunneth")
+    ]
+
+
+def generator_set(n: int, d: DegreeVector, name: str) -> list:
+    """(label, eigenvalue) pairs of one named generator set.
 
     ``tildeCas``: corrected Casimirs, k = 2..n-1.
-    ``detBundles``: determinant classes with k >= 2, d_k != 0 != d_{k-1}.
+    ``detBundles``: determinant classes over ``det_bundle_indices(d)``.
+    ``detBundlesAll``: determinant classes, k = 1..n-1.
     ``chern``: all Kunneth and diagonal Chern components.
     """
-    ctx = VermaContext.get(n)
-    basis = ctx.basis(tuple(d))
-    labels: list[str] = []
-    funcs = []
-    if generators == "tildeCas":
-        for k in range(2, n):
-            labels.append(f"tildeCas{k}")
-            funcs.append(lambda p, k=k: eig_tilde_casimir(p, k))
-    elif generators == "detBundles":
-        for k in range(2, n):
-            if d[k - 1] != 0 and d[k - 2] != 0:
-                labels.append(f"c1(D{k})")
-                funcs.append(lambda p, k=k: eig_det_bundle(p, k))
-    elif generators == "detBundlesAll":
-        for k in range(1, n):
-            labels.append(f"c1(D{k})")
-            funcs.append(lambda p, k=k: eig_det_bundle(p, k))
-    elif generators == "chern":
-        for i in range(1, n):
-            for j in range(1, i + 1):
-                for part in ("diag", "kunneth"):
-                    labels.append(f"c{j}(W{i})[{part}]")
-                    funcs.append(lambda p, i=i, j=j, part=part: eig_chern(p, i, j, part))
+    if name == "tildeCas":
+        label, eig, ks = "tildeCas{}", eig_tilde_casimir, range(2, n)
+    elif name == "detBundles":
+        label, eig, ks = "c1(D{})", eig_det_bundle, det_bundle_indices(d)
+    elif name == "detBundlesAll":
+        label, eig, ks = "c1(D{})", eig_det_bundle, range(1, n)
+    elif name == "chern":
+        return chern_generators(n, eig_chern)
     else:
-        raise VermalabError(f"unknown generator set: {generators}")
-    table = {p: tuple(f(p) for f in funcs) for p in basis}
-    return JointSpectrum(tuple(d), labels, table)
-
-
-def check_spectrum_separation(n: int, d: DegreeVector, generators: str):
-    """(vacuous, separated, witness_pair) for the named generator set."""
-    spec = joint_spectrum(n, d, generators)
-    if len(spec.table) <= 1 or not spec.labels:
-        return True, True, None
-    pair = _first_collision(spec.table)
-    return False, pair is None, pair
+        raise VermalabError(f"unknown generator set: {name}")
+    return [(label.format(k), lambda p, k=k: eig(p, k)) for k in ks]

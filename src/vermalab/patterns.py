@@ -81,14 +81,25 @@ class Pattern:
         return f"Pattern({self.text()})"
 
 
-def _first_collision(table: dict, key=None) -> tuple | None:
-    """The first pair of points with equal value tuples, in combinations
+def joint_spectrum(points, generators) -> dict:
+    """The value tuple of every point under (label, value function) generators."""
+    return {p: tuple(f(p) for _, f in generators) for p in points}
+
+
+def separation(table: dict, key=None) -> tuple[bool, bool, tuple | None]:
+    """(vacuous, separated, pair) for a joint spectrum table.
+
+    Vacuous when there are fewer than two points or no generators.  The
+    pair is the first two points with equal value tuples, in combinations
     order over the points sorted by ``key``, or None when all differ.
-    Tuples of canonical field elements or monomials compare exactly."""
+    Tuples of canonical field elements or exponents compare exactly.
+    """
+    if len(table) <= 1 or not next(iter(table.values())):
+        return True, True, None
     for a, b in itertools.combinations(sorted(table, key=key), 2):
         if table[a] == table[b]:
-            return a, b
-    return None
+            return False, False, (a, b)
+    return False, True, None
 
 
 def degree_vectors_upto(n: int, bound: int) -> list[DegreeVector]:
@@ -146,29 +157,12 @@ def enumerate_patterns(n: int, d: DegreeVector) -> list[Pattern]:
     return patterns
 
 
-class GTPattern:
-    """The triangular array lam_ij = x_j/h + j - 1 - d_ij (d_nj = 0)."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: dict[tuple[int, int], FieldElem]):
-        self.n = n
-        self.values = values
-
-    def value(self, i: int, j: int) -> FieldElem:
-        return self.values[(i, j)]
-
-
-def gt_pattern(p: Pattern) -> GTPattern:
-    n = p.n
-    ring = classical_ring(n)
+def gt_value(p: Pattern, i: int, j: int) -> FieldElem:
+    """lam_ij = x_j/h + j - 1 - d_ij, with d_nj = 0."""
+    ring = classical_ring(p.n)
     hpoly = MultiPoly.var(ring, "h")
-    values: dict[tuple[int, int], FieldElem] = {}
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            num = MultiPoly.var(ring, f"x{j}") + hpoly.scale(j - 1 - p.entry(i, j))
-            values[(i, j)] = FieldElem.from_factors(ring, 1, [num], [hpoly])
-    return GTPattern(n, values)
+    num = MultiPoly.var(ring, f"x{j}") + hpoly.scale(j - 1 - p.entry(i, j))
+    return FieldElem.from_factors(ring, 1, [num], [hpoly])
 
 
 class GlobalFixedPoint:

@@ -21,16 +21,19 @@ from .globalverma import (
     GlobalContext,
     cartan_from_chern,
     check_double_relations,
-    check_global_separation,
     check_global_whittaker,
     check_invariants_preserved,
     compose_perm,
+    eig_global_chern,
     sn_action,
 )
 from .patterns import (
+    GlobalFixedPoint,
     degree_vectors_upto,
     enumerate_global_fixed_points,
     enumerate_patterns,
+    joint_spectrum,
+    separation,
     shift_degree,
 )
 from .report import FINDING, PASS, VACUOUS, VerificationReport
@@ -148,7 +151,9 @@ def suite_gt_spectrum(n: int, degree, generators: str = "tildeCas") -> tuple[Ver
         "Kunneth numerators vanish at h = 0",
         div_ok,
     )
-    vac, sep, wit = gtalg.check_spectrum_separation(n, d, generators)
+    gens = gtalg.generator_set(n, d, generators)
+    spectrum = joint_spectrum(basis, gens)
+    vac, sep, wit = separation(spectrum)
     if vac:
         rep.add("joint spectrum separation", "eigenvalue tuples pairwise distinct", VACUOUS)
     else:
@@ -158,14 +163,10 @@ def suite_gt_spectrum(n: int, degree, generators: str = "tildeCas") -> tuple[Ver
             sep,
             None if sep else f"equal tuples on {wit[0].text()} and {wit[1].text()}",
         )
-    spectrum = gtalg.joint_spectrum(n, d, generators)
     table = {
         "degree": list(d),
-        "generators": spectrum.labels,
-        "rows": [
-            {"pattern": p.to_json(), "values": [v.text() for v in spectrum.table[p]]}
-            for p in sorted(spectrum.table, key=lambda p: p.flat)
-        ],
+        "generators": [label for label, _ in gens],
+        "rows": [{"pattern": p.to_json(), "values": [v.text() for v in spectrum[p]]} for p in basis],
     }
     return rep, table
 
@@ -397,7 +398,8 @@ def suite_global(n: int, max_degree: int) -> VerificationReport:
         for label, anchor, ok, witness in check_global_whittaker(n, d):
             rep.add_check(label, anchor, ok, witness)
     for d in degrees:
-        vac, sep, wit = check_global_separation(n, d)
+        spectrum = joint_spectrum(gctx.basis(d), gtalg.chern_generators(n, eig_global_chern))
+        vac, sep, wit = separation(spectrum, key=GlobalFixedPoint.sort_key)
         if vac:
             rep.add(f"global spectrum separation on {list(d)}", "tautological weights distinguish fixed points", VACUOUS)
         else:
@@ -445,28 +447,25 @@ def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
     for d in degree_vectors_upto(n, max_degree):
         for p in enumerate_patterns(n, d):
             for k in range(1, n + 1):
-                expo = ktheory.corrected_quantum_casimir_exponent(p, k)
-                if not expo.is_quadratic_free():
+                corr = ktheory.corrected_quantum_casimir_exponent(p, k)
+                if corr.total_degree() > 1:
                     tau_ok = False
                     continue
-                corr = expo.to_monomial()
                 if k <= n - 1:
-                    det = ktheory.eig_det_class_K(p, k)
-                    residue = det * det * corr
-                    if square_witness is None and not residue.is_one():
-                        square_witness = f"{p.text()} k={k}: det^2 * corrected = {residue.text()}"
+                    # det^2 * corrected = 1 is 2 det + corrected = 0 on exponents
+                    residue = ktheory.eig_det_class_K(p, k).scale(2) + corr
+                    if square_witness is None and not residue.is_zero():
+                        square_witness = f"{p.text()} k={k}: det^2 * corrected = " + ktheory.exponent_text(residue)
             try:
-                c = ktheory.normalization_constant(p)
+                vsq_minus_one, mono = ktheory.normalization_constant(p)
             except ktheory.ExponentIntegralityError as err:
                 integrality_witness = str(err)
                 continue
-            rows.append(
-                {
-                    "pattern": p.to_json(),
-                    "normalization": c.text(),
-                    "det_classes": [ktheory.eig_det_class_K(p, k).text() for k in range(1, n)],
-                }
-            )
+            normalization = ktheory.exponent_text(mono)
+            if vsq_minus_one:
+                normalization = f"(v^2-1)^{vsq_minus_one} {normalization}"
+            dets = [ktheory.exponent_text(ktheory.eig_det_class_K(p, k)) for k in range(1, n)]
+            rows.append({"pattern": p.to_json(), "normalization": normalization, "det_classes": dets})
     # a surviving quadratic part would falsify the correction bookkeeping;
     # that is a formula-level outcome, reported rather than failed
     rep.add_probe(
@@ -484,7 +483,7 @@ def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
     sep_all = True
     any_nonvacuous = False
     for d in degree_vectors_upto(n, max_degree):
-        vac, sep, wit = ktheory.check_K_separation(n, d)
+        vac, sep, _ = separation(joint_spectrum(enumerate_patterns(n, d), ktheory.det_class_generators(d)))
         if not vac:
             any_nonvacuous = True
             if not sep:

@@ -15,9 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import FieldElem, VermalabError
-from .gtalg import eig_det_bundle, joint_spectrum
+from .gtalg import generator_set
 from .linalg import solve_linear, solve_rows, vstack
-from .patterns import DegreeVector, Pattern, _first_collision, degree_valid, degree_vectors_upto, shift_degree
+from .patterns import (
+    DegreeVector,
+    Pattern,
+    degree_valid,
+    degree_vectors_upto,
+    joint_spectrum,
+    separation,
+    shift_degree,
+)
 from .verma import VermaContext, ef_shift
 
 
@@ -108,10 +116,10 @@ def check_cyclicity(n: int, d: DegreeVector):
     """
     comp = whittaker_component(n, d)
     zero_pats = [p for p, v in comp.coefficients.items() if v.is_zero()]
-    spectrum = joint_spectrum(n, d, "tildeCas")
-    separated = _first_collision(spectrum.table) is None
+    basis = VermaContext.get(n).basis(tuple(d))
+    _, separated, _ = separation(joint_spectrum(basis, generator_set(n, d, "tildeCas")))
     details = {
-        "dimension": len(spectrum.table),
+        "dimension": len(basis),
         "zero_coefficients": [p.text() for p in sorted(zero_pats, key=lambda p: p.flat)],
         "separated": separated,
     }
@@ -140,22 +148,16 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     d = tuple(d)
     basis = ctx.basis(d)
     dim = len(basis)
-    gens = [k for k in range(2, n) if d[k - 1] != 0 and d[k - 2] != 0]
-    labels = [f"c1(D{k})" for k in gens]
-    eig_tables = {
-        label: {p: eig_det_bundle(p, k) for p in basis}
-        for label, k in zip(labels, gens)
-    }
+    gens = generator_set(n, d, "detBundles")
+    labels = [label for label, _ in gens]
+    spectrum = joint_spectrum(basis, gens)
     out: dict = {
         "degree": list(d),
         "dimension": dim,
         "generators": labels,
         "eigenvalues": {
-            label: [
-                {"pattern": p.to_json(), "value": eig_tables[label][p].text()}
-                for p in basis
-            ]
-            for label in labels
+            label: [{"pattern": p.to_json(), "value": spectrum[p][g].text()} for p in basis]
+            for g, label in enumerate(labels)
         },
     }
     comp = whittaker_component(n, d)
@@ -163,12 +165,12 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
     if specialization is None:
         return out
     # exact rational eigenvalue tuples per basis point
-    values: dict[str, list[Fraction]] = {}
-    for label in labels:
-        values[label] = [eig_tables[label][p].evaluate(specialization) for p in basis]
+    values = {
+        label: [spectrum[p][g].evaluate(specialization) for p in basis] for g, label in enumerate(labels)
+    }
     tuples = {p: tuple(values[label][idx] for label in labels) for idx, p in enumerate(basis)}
-    collision = _first_collision(tuples)
-    if collision is not None:
+    _, separated, collision = separation(tuples)
+    if not separated:
         raise SpectrumCollapseError(*collision)
     # greedy monomial basis: exponent vectors over the generators, graded-lex
     def monomial_values(expv):

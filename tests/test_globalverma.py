@@ -11,7 +11,6 @@ from vermalab.globalverma import (
     c1_closed_form,
     cartan_from_chern,
     check_double_relations,
-    check_global_separation,
     check_global_whittaker,
     check_invariants_preserved,
     compose_perm,
@@ -23,7 +22,8 @@ from vermalab.globalverma import (
     symmetrize,
     vec_is_invariant,
 )
-from vermalab.patterns import GlobalFixedPoint, Pattern, degree_vectors_upto
+from vermalab.gtalg import chern_generators
+from vermalab.patterns import GlobalFixedPoint, Pattern, degree_vectors_upto, joint_spectrum, separation
 
 
 def test_family_blocks_match_bar_rule_n2():
@@ -184,7 +184,8 @@ def test_cartan_from_chern_flags_offset():
 
 def test_global_separation():
     for n, d in ((2, (0,)), (2, (1,)), (3, (1, 0)), (3, (1, 1))):
-        vac, sep, wit = check_global_separation(n, d)
+        spectrum = joint_spectrum(GlobalContext.get(n).basis(d), chern_generators(n, eig_global_chern))
+        vac, sep, wit = separation(spectrum, key=GlobalFixedPoint.sort_key)
         assert sep, (n, d, wit)
 
 

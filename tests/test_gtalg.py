@@ -4,17 +4,17 @@ from fractions import Fraction
 
 from vermalab.gtalg import (
     casimir_diagonality_defects,
-    check_spectrum_separation,
     chern_h_divisible,
+    det_bundle_indices,
     eig_casimir,
     eig_chern,
     eig_det_bundle,
     eig_tilde_casimir,
-    joint_spectrum,
+    generator_set,
     lazy_casimir,
     lazy_tilde_casimir,
 )
-from vermalab.patterns import Pattern, degree_vectors_upto, enumerate_patterns
+from vermalab.patterns import Pattern, degree_vectors_upto, enumerate_patterns, joint_spectrum, separation
 from vermalab.verma import VermaContext
 
 
@@ -112,21 +112,19 @@ def test_chern_h_divisibility():
 
 
 def test_separation_examples():
-    vac, sep, _ = check_spectrum_separation(3, (1, 1), "tildeCas")
-    assert not vac and sep
-    vac, sep, _ = check_spectrum_separation(2, (2,), "tildeCas")
-    assert vac and sep
-    vac, sep, _ = check_spectrum_separation(3, (2, 1), "tildeCas")
-    assert not vac and sep
+    for n, d, vacuous in ((3, (1, 1), False), (2, (2,), True), (3, (2, 1), False)):
+        spectrum = joint_spectrum(enumerate_patterns(n, d), generator_set(n, d, "tildeCas"))
+        assert separation(spectrum) == (vacuous, True, None)
 
 
 def test_det_bundle_generator_sets():
-    spec = joint_spectrum(3, (1, 1), "detBundles")
-    assert spec.labels == ["c1(D2)"]
-    spec = joint_spectrum(3, (0, 1), "detBundles")
-    assert spec.labels == []
-    spec = joint_spectrum(3, (0, 1), "detBundlesAll")
-    assert spec.labels == ["c1(D1)", "c1(D2)"]
+    def labels(d, name):
+        return [label for label, _ in generator_set(3, d, name)]
+
+    assert labels((1, 1), "detBundles") == ["c1(D2)"]
+    assert labels((0, 1), "detBundles") == []
+    assert labels((0, 1), "detBundlesAll") == ["c1(D1)", "c1(D2)"]
+    assert det_bundle_indices((1, 1, 0, 2, 3)) == [2, 5]
 
 
 def test_casimirs_commute():

@@ -8,11 +8,11 @@ from vermalab.field import VermalabError
 from vermalab.patterns import (
     GlobalFixedPoint,
     Pattern,
-    _first_collision,
     degree_vectors_upto,
     enumerate_global_fixed_points,
     enumerate_patterns,
-    gt_pattern,
+    gt_value,
+    separation,
 )
 from vermalab.ring import classical_ring
 from vermalab.field import FieldElem
@@ -84,21 +84,19 @@ def test_gt_pattern_values():
     x2 = FieldElem.var(ring, "x2")
     h = FieldElem.var(ring, "h")
     p0 = Pattern(2, ((0,),))
-    gt = gt_pattern(p0)
-    assert gt.value(2, 1) == x1 / h
-    assert gt.value(2, 2) == x2 / h + 1
-    assert gt.value(1, 1) == x1 / h
+    assert gt_value(p0, 2, 1) == x1 / h
+    assert gt_value(p0, 2, 2) == x2 / h + 1
+    assert gt_value(p0, 1, 1) == x1 / h
     pm = Pattern(2, ((4,),))
-    assert gt_pattern(pm).value(1, 1) == x1 / h - 4
+    assert gt_value(pm, 1, 1) == x1 / h - 4
 
 
 def test_gt_pattern_row3_example():
     ring = classical_ring(3)
     p = Pattern(3, ((1,), (0, 1)))
-    gt = gt_pattern(p)
     x2 = FieldElem.var(ring, "x2")
     h = FieldElem.var(ring, "h")
-    assert gt.value(2, 2) == x2 / h  # x2/h + 1 - 1
+    assert gt_value(p, 2, 2) == x2 / h  # x2/h + 1 - 1
 
 
 def naive_global_count(n, d):
@@ -150,12 +148,15 @@ def test_first_collision_order_and_exact_equality():
     # the same value built two ways compares equal in canonical form
     table = {p4: (x1 / h + 1,), p3: (h,), p2: (h * 1,), p1: ((x1 + h) / h,)}
     # combinations order over the sorted points: (p1, p4) precedes (p2, p3)
-    assert _first_collision(table) == (p1, p4)
+    assert separation(table) == (False, False, (p1, p4))
     del table[p4]
-    assert _first_collision(table) == (p2, p3)
+    assert separation(table) == (False, False, (p2, p3))
     del table[p3]
-    assert _first_collision(table) is None
+    assert separation(table) == (False, True, None)
+    del table[p2]
+    assert separation(table) == (True, True, None)
+    assert separation({p1: (), p2: ()}) == (True, True, None)
     fps = enumerate_global_fixed_points(2, (1,))
     gtable = {fp: (fp.sigma == (2, 1),) for fp in fps}
     first = sorted(fps, key=GlobalFixedPoint.sort_key)
-    assert _first_collision(gtable, key=GlobalFixedPoint.sort_key) == (first[0], first[1])
+    assert separation(gtable, key=GlobalFixedPoint.sort_key) == (False, False, (first[0], first[1]))

@@ -271,6 +271,8 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=1/0,x2=1,x3=2,h=1")),
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1")),
         ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "")),
+        ("--spec", ("ring", "--n", "3", "--degree", "1,1", "--spec", "x1=0,x2=1,x3=2,h=1,y=3")),
+        ("--spec", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC + ",q2=1")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "abc")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1/0")),
         ("--n", ("verify-gl", "--n", "1", "--max-degree", "1")),
@@ -282,7 +284,7 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
         ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "0")),
     ],
     ids=["degree-letter", "degree-empty", "degree-short", "degree-long", "degree-negative", "spec-letters",
-         "spec-zero-den", "spec-no-value", "spec-empty", "kappa-letters", "kappa-zero-den", "n-one", "n-zero",
+         "spec-zero-den", "spec-no-value", "spec-empty", "spec-unknown-name", "spec-q-variable", "kappa-letters", "kappa-zero-den", "n-one", "n-zero",
          "max-degree-negative", "tolerance-nan", "tolerance-inf", "tolerance-negative", "tolerance-zero"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, flag, argv):
