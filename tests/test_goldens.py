@@ -13,6 +13,8 @@ import pytest
 
 from vermalab.report import golden_diff
 from vermalab.suites import (
+    suite_flatness,
+    suite_global,
     suite_gt_spectrum,
     suite_ktheory,
     suite_qc,
@@ -43,6 +45,16 @@ def test_qc_report_matches_golden():
 def test_verify_gl_report_matches_golden():
     rep = suite_verify_gl(2, 3)
     assert golden_diff(rep.to_json(), GOLDEN_DIR, "verify_gl_n2.json")["status"] == "match"
+
+
+def test_global_report_matches_golden():
+    rep = suite_global(2, 2)
+    assert golden_diff(rep.to_json(), GOLDEN_DIR, "global_n2_d2.json")["status"] == "match"
+
+
+def test_flatness_report_matches_golden():
+    rep = suite_flatness(4, "1,1,0")
+    assert golden_diff(rep.to_json(), GOLDEN_DIR, "flatness_n4_d1_1_0.json")["status"] == "match"
 
 
 def test_gt_spectrum_table_matches_golden():
