@@ -24,7 +24,7 @@ from .patterns import (
     enumerate_global_fixed_points,
     shift_degree,
 )
-from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift, operator_sum
+from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift, first_defect, operator_sum
 from .whittaker import whittaker_component
 
 
@@ -117,7 +117,8 @@ def check_double_relations(n: int, dmax: int):
     """Chevalley-Serre relations inside each family, plus exact cross
     commutation between the families, on all blocks |d| <= dmax.
 
-    Returns (label, anchor, ok, witness) tuples.
+    Returns (label, anchor, witness) tuples; the witness is None where the
+    relation holds.
     """
     gctx = GlobalContext.get(n)
     degrees = degree_vectors_upto(n, dmax)
@@ -131,16 +132,7 @@ def check_double_relations(n: int, dmax: int):
     results = []
 
     def check(label, anchor, op):
-        ok = True
-        witness = None
-        for d in degrees:
-            blk = op.block(d)
-            if not blk.is_zero():
-                ok = False
-                r, c, v = blk.sorted_entries()[0]
-                witness = f"degree {list(d)} entry ({r},{c}): {v.text()}"
-                break
-        results.append((label, anchor, ok, witness))
+        results.append((label, anchor, first_defect(degrees, op.block)))
 
     for fam in (1, 2):
         t = f"({fam})"
@@ -223,20 +215,24 @@ def symmetrize(n: int, d: DegreeVector):
     return out
 
 
+def vec_difference(a: dict[GlobalFixedPoint, FieldElem], b: dict[GlobalFixedPoint, FieldElem]) -> str | None:
+    """``point: a-value vs b-value`` at the first point, in ``sort_key``
+    order, where two sparse vectors differ (a missing point reads 0), or
+    None when they are equal."""
+    for fp in sorted(set(a) | set(b), key=GlobalFixedPoint.sort_key):
+        zero = VermaContext.get(fp.n).zero
+        x, y = a.get(fp, zero), b.get(fp, zero)
+        if not (x - y).is_zero():
+            return f"{fp.text()}: {x.text()} vs {y.text()}"
+    return None
+
+
 def vec_is_invariant(n: int, degree: DegreeVector, vec: dict[GlobalFixedPoint, FieldElem]) -> bool:
     for t in range(1, n):
         tau = list(range(1, n + 1))
         tau[t - 1], tau[t] = tau[t], tau[t - 1]
-        moved = sn_action(tuple(tau), degree, vec)
-        keys = set(moved) | set(vec)
-        for k in keys:
-            a = moved.get(k)
-            b = vec.get(k)
-            if a is None or b is None:
-                if (a or b) and not (a or b).is_zero():
-                    return False
-            elif not (a - b).is_zero():
-                return False
+        if vec_difference(sn_action(tuple(tau), degree, vec), vec) is not None:
+            return False
     return True
 
 
@@ -249,12 +245,11 @@ def apply_to_vec(gctx: GlobalContext, op: GradedOperator, degree: DegreeVector, 
     return out_deg, {fp: v for fp, v in zip(out_basis, out_col) if not v.is_zero()}
 
 
-def check_invariants_preserved(n: int, d: DegreeVector):
+def invariants_defect(n: int, d: DegreeVector) -> str | None:
     """All e/f operators of both families (and the sums) map the invariant
-    basis vectors to invariant vectors; exact check."""
+    basis vectors to invariant vectors; exact check.  Returns the first
+    vector that breaks this, or None."""
     gctx = GlobalContext.get(n)
-    results = []
-    invs = symmetrize(n, d)
     ops = []
     for fam in (1, 2):
         for i in range(1, n):
@@ -263,23 +258,14 @@ def check_invariants_preserved(n: int, d: DegreeVector):
     for i in range(1, n):
         ops.append(lazy_global_delta(gctx, "e", i))
         ops.append(lazy_global_delta(gctx, "f", i))
-    ok = True
-    witness = None
-    for vec in invs:
+    for vec in symmetrize(n, d):
         if not vec_is_invariant(n, d, vec):
-            ok = False
-            witness = "orbit sum itself is not invariant"
-            break
+            return "orbit sum itself is not invariant"
         for op in ops:
             out_deg, out = apply_to_vec(gctx, op, d, vec)
             if out and not vec_is_invariant(n, out_deg, out):
-                ok = False
-                witness = f"image under {op.label} not invariant"
-                break
-        if not ok:
-            break
-    results.append(("invariant subspace preserved", "operators keep the symmetric part", ok, witness))
-    return results
+                return f"image under {op.label} not invariant"
+    return None
 
 
 # -- global Whittaker ---------------------------------------------------------
@@ -298,7 +284,8 @@ def global_whittaker_vector(n: int, d: DegreeVector) -> dict[GlobalFixedPoint, F
 
 
 def check_global_whittaker(n: int, d: DegreeVector):
-    """f_i(1) b_d = h^-1 b_{d-i} and f_i(2) b_d = -h^-1 b_{d-i}, exactly."""
+    """f_i(1) b_d = h^-1 b_{d-i} and f_i(2) b_d = -h^-1 b_{d-i}, exactly;
+    (label, anchor, witness) tuples, the witness None where one holds."""
     gctx = GlobalContext.get(n)
     d = tuple(d)
     b_d = global_whittaker_vector(n, d)
@@ -308,26 +295,15 @@ def check_global_whittaker(n: int, d: DegreeVector):
         lower = shift_degree(d, ef_shift(n, "f", i))
         if not degree_valid(lower):
             continue
-        want = {fp: v * hinv for fp, v in global_whittaker_vector(n, lower).items()}
+        b_lower = global_whittaker_vector(n, lower)
         for fam, sign in ((1, 1), (2, -1)):
-            op = lazy_global(gctx, "f", fam, i)
-            _, got = apply_to_vec(gctx, op, d, b_d)
-            ok = True
-            witness = None
-            keys = set(got) | set(want)
-            for k in keys:
-                gv = got.get(k, gctx.local.zero)
-                wv = want.get(k, gctx.local.zero) * sign
-                if not (gv - wv).is_zero():
-                    ok = False
-                    witness = f"{k.text()}: {gv.text()} vs {wv.text()}"
-                    break
+            _, got = apply_to_vec(gctx, lazy_global(gctx, "f", fam, i), d, b_d)
+            want = {fp: v * (hinv * sign) for fp, v in b_lower.items()}
             results.append(
                 (
                     f"f{i}({fam}) b_{list(d)} = {'+' if sign > 0 else '-'}h^-1 b",
                     "product of local Whittaker data solves the global conditions",
-                    ok,
-                    witness,
+                    vec_difference(got, want),
                 )
             )
     return results
@@ -338,10 +314,15 @@ def check_global_whittaker(n: int, d: DegreeVector):
 
 def eig_global_chern(fp: GlobalFixedPoint, i: int, j: int, part: str) -> FieldElem:
     """Lemma-style closed form: both deviation sets enter with plus signs
-    and the whole thing is sigma-substituted."""
+    and the whole thing is sigma-substituted.  The value before the
+    substitution depends on (p0, pinf) only and is memoised on the context."""
     if not 1 <= j <= i <= fp.n - 1:
         raise VermalabError("chern indices out of range")
-    val = _chern_part(VermaContext.get(fp.n), chern_weights(fp.p0, i), chern_weights(fp.pinf, i), j, part)
+    ctx = VermaContext.get(fp.n)
+    val = ctx._cached(
+        ("eig_global_chern", fp.p0, fp.pinf, i, j, part),
+        lambda: _chern_part(ctx, chern_weights(fp.p0, i), chern_weights(fp.pinf, i), j, part),
+    )
     return val.permute_x(fp.sigma)
 
 

@@ -32,8 +32,13 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def sorted_entries(self) -> list[tuple[int, int, FieldElem]]:
-        return [(r, c, self.entries[(r, c)]) for r, c in sorted(self.entries)]
+    def first_entry(self) -> str | None:
+        """``entry (r,c): value`` for the first stored entry in row-major
+        order, or None for the zero matrix."""
+        if not self.entries:
+            return None
+        r, c = min(self.entries)
+        return f"entry ({r},{c}): {self.entries[(r, c)].text()}"
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_shape(other)

@@ -30,7 +30,7 @@ class ReportItem:
     witness: str | None = None
 
     def __post_init__(self):
-        if self.status in (FAIL, FINDING) and self.witness is None:
+        if self.status in (FAIL, FINDING) and not self.witness:
             raise VermalabError(f"item {self.label}: status {self.status} needs a witness")
         if self.witness is not None and len(self.witness) > WITNESS_LIMIT:
             self.witness = self.witness[:WITNESS_LIMIT] + " ...(truncated)"
@@ -51,8 +51,9 @@ class VerificationReport:
     def add(self, label: str, anchor: str, status: str, witness: str | None = None):
         self.items.append(ReportItem(label, anchor, status, witness))
 
-    def add_check(self, label: str, anchor: str, ok: bool, witness: str | None = None):
-        self.items.append(ReportItem(label, anchor, PASS if ok else FAIL, witness if not ok else None))
+    def add_check(self, label: str, anchor: str, witness: str | None):
+        """A check: it holds, and passes, exactly when there is no witness."""
+        self.items.append(ReportItem(label, anchor, PASS if witness is None else FAIL, witness))
 
     def add_probe(self, label: str, anchor: str, witness: str | None):
         """A formula-level probe: a finding when there is a witness, else a pass."""

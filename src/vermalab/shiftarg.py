@@ -166,55 +166,47 @@ def qc_commutator_block(n: int, k: int, l: int, d: DegreeVector):
     return lazy_qc(ctx, k).commutator(lazy_qc(ctx, l)).block(tuple(d))
 
 
-def qc_at_q_zero_matches(n: int, k: int, d: DegreeVector) -> bool:
-    """Exact q -> 0 degeneration of QC_k to the corrected Casimir."""
+def qc_at_q_zero_defect(n: int, k: int, d: DegreeVector) -> str | None:
+    """Exact q -> 0 degeneration of QC_k to the corrected Casimir: the first
+    entry of QC_k - tildeCas_k on V_d that survives q = 0, or None."""
     ctx = quantum_context(n)
     qzero = {f"q{l}": 0 for l in range(2, n)}
     qc_block = lazy_qc(ctx, k).block(tuple(d))
     target = lazy_tilde_casimir(ctx, k).block(tuple(d))
-    diff = qc_block - target
-    for _, _, v in diff.sorted_entries():
-        if not v.substitute(qzero).is_zero():
-            return False
-    return True
+    for (r, c), v in sorted((qc_block - target).entries.items()):
+        at_zero = v.substitute(qzero)
+        if not at_zero.is_zero():
+            return f"entry ({r},{c}) at q=0: {at_zero.text()}"
+    return None
 
 
 def check_qc_commutativity(n: int, d: DegreeVector):
     """[QC_k, QC_l] on V_d for every pair, computed exactly.
 
-    Returns (label, is_zero, witness) per pair; the list is empty for
-    n = 3, where a single element leaves nothing to commute.
+    Returns (k, l, witness) per pair, the witness None where the
+    commutator vanishes; the list is empty for n = 3, where a single
+    element leaves nothing to commute.
     """
     if n < 3:
         raise VermalabError("no quantum parameters (Picard rank n-2 = 0)")
-    out = []
-    for k in range(2, n):
-        for l in range(k + 1, n):
-            blk = qc_commutator_block(n, k, l, d)
-            if blk.is_zero():
-                out.append((k, l, True, None))
-            else:
-                r, c, v = blk.sorted_entries()[0]
-                out.append((k, l, False, f"entry ({r},{c}): {v.text()}"))
-    return out
+    return [
+        (k, l, qc_commutator_block(n, k, l, d).first_entry())
+        for k in range(2, n)
+        for l in range(k + 1, n)
+    ]
 
 
 def check_flatness(n: int, d: DegreeVector):
     """Both curvature components per pair: the commutator C1 and the
-    derivative-symmetry part C2 = q_k d_qk QC_l - q_l d_ql QC_k."""
+    derivative-symmetry part C2 = q_k d_qk QC_l - q_l d_ql QC_k, as
+    (label, witness) with the witness None where the component vanishes."""
     if n < 3:
         raise VermalabError("no quantum parameters (Picard rank n-2 = 0)")
     out = []
     for k in range(2, n):
         for l in range(k + 1, n):
-            c1 = qc_commutator_block(n, k, l, d)
-            c2 = flatness_c2_block(n, k, l, d)
-            for name, blk in (("C1", c1), ("C2", c2)):
-                if blk.is_zero():
-                    out.append((f"{name}[QC{k},QC{l}]", True, None))
-                else:
-                    r, c, v = blk.sorted_entries()[0]
-                    out.append((f"{name}[QC{k},QC{l}]", False, f"entry ({r},{c}): {v.text()}"))
+            out.append((f"C1[QC{k},QC{l}]", qc_commutator_block(n, k, l, d).first_entry()))
+            out.append((f"C2[QC{k},QC{l}]", flatness_c2_block(n, k, l, d).first_entry()))
     return out
 
 

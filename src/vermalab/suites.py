@@ -22,10 +22,11 @@ from .globalverma import (
     cartan_from_chern,
     check_double_relations,
     check_global_whittaker,
-    check_invariants_preserved,
     compose_perm,
     eig_global_chern,
+    invariants_defect,
     sn_action,
+    vec_difference,
 )
 from .patterns import (
     GlobalFixedPoint,
@@ -71,13 +72,11 @@ def patterns_listing(n: int, degree, include_global: bool = False) -> dict:
 
 def suite_verify_gl(n: int, max_degree: int) -> VerificationReport:
     rep = VerificationReport("verify-gl", {"n": n, "max_degree": max_degree})
-    results = verma.check_gl_relations(n, max_degree)
-    for label, anchor, ok, witness in results:
-        rep.add_check(label, anchor, ok, witness)
+    for label, anchor, witness in verma.check_gl_relations(n, max_degree):
+        rep.add_check(label, anchor, witness)
     ctx = VermaContext.get(n)
-    support_ok = True
-    transpose_ok = True
     support_witness = None
+    transpose_witness = None
     for d in degree_vectors_upto(n, max_degree):
         for i in range(1, n):
             eb = ctx.e_block(i, d)
@@ -91,25 +90,20 @@ def suite_verify_gl(n: int, max_degree: int) -> VerificationReport:
                     for jj in range(1, ii + 1)
                     if src[c].entry(ii, jj) != tgt[r].entry(ii, jj)
                 ]
-                if len(diffs) != 1 or diffs[0][0] != i or diffs[0][2] != 1:
-                    support_ok = False
+                if [(row, step) for row, _, step in diffs] != [(i, 1)]:
                     support_witness = f"raise {i} at degree {list(d)} moved {diffs}"
-            fb_back = ctx.f_block(i, up)
-            epairs = set(eb.entries)
-            fpairs = {(c, r) for (r, c) in fb_back.entries}
-            if epairs != fpairs:
-                transpose_ok = False
+            fpairs = {(c, r) for (r, c) in ctx.f_block(i, up).entries}
+            if set(eb.entries) != fpairs:
+                transpose_witness = f"transition sets differ for row {i} at degree {list(d)}"
     rep.add_check(
         "raise/lower support rule",
         "nonzero entries change a single entry of the acting row by one",
-        support_ok,
         support_witness,
     )
     rep.add_check(
         "raise transitions reverse lower transitions",
         "index pairs of the two blocks are mutual transposes",
-        transpose_ok,
-        None if transpose_ok else "transition sets differ",
+        transpose_witness,
     )
     return rep
 
@@ -122,46 +116,49 @@ def suite_gt_spectrum(n: int, degree, generators: str = "tildeCas") -> tuple[Ver
     rep = VerificationReport("gt-spectrum", {"degree": list(d), "generators": generators, "n": n})
     ctx = VermaContext.get(n)
     for k in range(1, n + 1):
-        off_ok, eig_ok, witness = gtalg.casimir_diagonality_defects(n, k, d)
-        rep.add_check(f"Cas{k} diagonal on V_{list(d)}", "assembled quadratic operator is diagonal", off_ok, witness)
-        rep.add_check(f"Cas{k} eigenvalues match row formula", "closed form agrees with assembly", eig_ok, witness)
-        off_ok, eig_ok, witness = gtalg.casimir_diagonality_defects(n, k, d, corrected=True)
-        rep.add_check(f"tildeCas{k} diagonal with closed form", "corrected operator matches its stated eigenvalue", off_ok and eig_ok, witness)
+        off, eig = gtalg.casimir_diagonality_defects(n, k, d)
+        rep.add_check(f"Cas{k} diagonal on V_{list(d)}", "assembled quadratic operator is diagonal", off)
+        rep.add_check(f"Cas{k} eigenvalues match row formula", "closed form agrees with assembly", eig)
+        off, eig = gtalg.casimir_diagonality_defects(n, k, d, corrected=True)
+        rep.add_check(f"tildeCas{k} diagonal with closed form", "corrected operator matches its stated eigenvalue", off or eig)
     basis = ctx.basis(d)
-    det_ok = True
+    det_witness = None
     for p in basis:
         for k in range(1, n):
             lhs = gtalg.eig_det_bundle(p, k)
             rhs = gtalg.eig_tilde_casimir(p, k) * ctx.h * Fraction(1, 2)
-            if not (lhs - rhs).is_zero():
-                det_ok = False
+            if det_witness is None and not (lhs - rhs).is_zero():
+                det_witness = f"pattern {p.text()} k={k}"
     rep.add_check(
         "determinant class = (h/2) corrected Casimir",
         "the two diagonal families are proportional by h/2",
-        det_ok,
+        det_witness,
     )
-    div_ok = all(
-        gtalg.chern_h_divisible(p, i, j)
-        for p in basis
-        for i in range(1, n)
-        for j in range(1, i + 1)
+    div_witness = next(
+        (
+            f"pattern {p.text()} i={i} j={j}"
+            for p in basis
+            for i in range(1, n)
+            for j in range(1, i + 1)
+            if not gtalg.chern_h_divisible(p, i, j)
+        ),
+        None,
     )
     rep.add_check(
         "einf - e0 divisible by h",
         "Kunneth numerators vanish at h = 0",
-        div_ok,
+        div_witness,
     )
     gens = gtalg.generator_set(n, d, generators)
     spectrum = joint_spectrum(basis, gens)
-    vac, sep, wit = separation(spectrum)
+    vac, _, pair = separation(spectrum)
     if vac:
         rep.add("joint spectrum separation", "eigenvalue tuples pairwise distinct", VACUOUS)
     else:
         rep.add_check(
             "joint spectrum separation",
             "eigenvalue tuples pairwise distinct",
-            sep,
-            None if sep else f"equal tuples on {wit[0].text()} and {wit[1].text()}",
+            pair and f"equal tuples on {pair[0].text()} and {pair[1].text()}",
         )
     table = {
         "degree": list(d),
@@ -190,19 +187,18 @@ def suite_whittaker(n: int, degree) -> tuple[VerificationReport, dict]:
         comp = whittaker_component(n, d)
         rep.add("stacked lowering system unique", "zero kernel and exact solution", PASS)
     except whit.SolveError as err:
-        rep.add_check("stacked lowering system unique", "zero kernel and exact solution", False, str(err))
+        rep.add_check("stacked lowering system unique", "zero kernel and exact solution", str(err))
         return rep, {}
-    nonzero, separated, details = whit.check_cyclicity(n, d)
+    zero, collision = whit.check_cyclicity(n, d)
     rep.add_check(
         "all fixed-point coefficients nonzero",
         "orbit through the diagonal subalgebra has full support",
-        nonzero,
-        None if nonzero else ", ".join(details["zero_coefficients"]),
+        zero,
     )
     rep.add_check(
         "corrected-Casimir spectrum separates",
         "distinct joint eigenvalues certify the cyclic span",
-        separated,
+        collision,
     )
     return rep, comp.to_json_dict()
 
@@ -219,16 +215,8 @@ def suite_ring(n: int, degree, specialization: dict | None) -> tuple[Verificatio
     )
     table = whit.ring_structure(n, d, specialization)
     rep.add_check(
-        "whittaker support", "nonzero coefficients back the ring realization", table["whittaker_nonzero"]
+        "whittaker support", "nonzero coefficients back the ring realization", whit.support_defect(n, d)
     )
-    if specialization is not None:
-        products = table["products"]
-        sym_ok = True
-        for key in products:
-            a, b = key.split("*")
-            if f"{b}*{a}" in products and products[f"{b}*{a}"] != products[key]:
-                sym_ok = False
-        rep.add_check("product table symmetric", "diagonal algebra is commutative", sym_ok)
     return rep, table
 
 
@@ -242,23 +230,21 @@ def suite_qc(n: int, degree) -> VerificationReport:
         rep.add("deformed family", "no quantum parameters (Picard rank n-2 = 0)", VACUOUS)
         return rep
     for k in range(2, n):
-        ok = shiftarg.qc_at_q_zero_matches(n, k, d)
         rep.add_check(
             f"QC{k} at q=0 equals tildeCas{k}",
             "the deformation degenerates to the corrected Casimir",
-            ok,
+            shiftarg.qc_at_q_zero_defect(n, k, d),
         )
     results = shiftarg.check_qc_commutativity(n, d)
     if not results:
         rep.add("family commutativity", "single deformed element; nothing to commute", VACUOUS)
-    nonzero_pairs = [(k, l) for k, l, is_zero, _ in results if not is_zero]
-    for k, l, is_zero, witness in results:
+    for k, l, witness in results:
         rep.add_probe(
             f"[QC{k},QC{l}] on V_{list(d)}",
             "deformed family commutes",
-            None if is_zero else f"nonzero {witness}",
+            witness and f"nonzero {witness}",
         )
-    for k, l in nonzero_pairs:
+    for k, l in [(k, l) for k, l, witness in results if witness]:
         blk = _doubled_commutator_block(n, k, l, d)
         status = "vanishes" if blk.is_zero() else "does not vanish"
         rep.add(
@@ -269,12 +255,10 @@ def suite_qc(n: int, degree) -> VerificationReport:
         )
     # open-question probe: quadratic-space element with the stated weights
     for k in range(2, n):
-        diff = shiftarg.qc_vs_quadratic_space(n, k, d)
-        witness = None
-        if not diff.is_zero():
-            r, c, v = diff.sorted_entries()[0]
-            witness = f"difference entry ({r},{c}): {v.text()}"
-        rep.add_probe(f"QC{k} matches quadratic-space element", "pairing normalization probe", witness)
+        diff = shiftarg.qc_vs_quadratic_space(n, k, d).first_entry()
+        rep.add_probe(
+            f"QC{k} matches quadratic-space element", "pairing normalization probe", diff and f"difference {diff}"
+        )
     return rep
 
 
@@ -296,13 +280,13 @@ def suite_flatness(n: int, degree) -> VerificationReport:
     if n < 4:
         rep.add("curvature components", "fewer than two deformed elements; flat trivially", VACUOUS)
         return rep
-    for label, is_zero, witness in shiftarg.check_flatness(n, d):
+    for label, witness in shiftarg.check_flatness(n, d):
         anchor = (
             "commutator part of the curvature"
             if label.startswith("C1")
             else "derivative symmetry of the connection"
         )
-        rep.add_probe(label, anchor, None if is_zero else f"nonzero {witness}")
+        rep.add_probe(label, anchor, witness and f"nonzero {witness}")
     return rep
 
 
@@ -337,16 +321,15 @@ def suite_monodromy(
     segs = [shiftarg.Segment(s["from"], s["to"]) for s in path_segments]
     mat, est = shiftarg.monodromy_transport(spec, segs)
     start, end = segs[0].start, segs[-1].end
+    closed = all(abs(a - b) < 1e-12 for a, b in zip(start, end))
     rep.add_check(
         "path is a loop",
         "start and end coincide",
-        all(abs(a - b) < 1e-12 for a, b in zip(start, end)),
-        f"starts at {_points(start)}, ends at {_points(end)}",
+        None if closed else f"starts at {_points(start)}, ends at {_points(end)}",
     )
     rep.add_check(
         "error estimate within tolerance",
         "step-refinement agreement of the integrator",
-        est <= tolerance,
         None if est <= tolerance else f"estimate {est:.3e}",
     )
     out = {
@@ -364,50 +347,44 @@ def suite_monodromy(
 
 def suite_global(n: int, max_degree: int) -> VerificationReport:
     rep = VerificationReport("global-verify", {"max_degree": max_degree, "n": n})
-    for label, anchor, ok, witness in check_double_relations(n, max_degree):
-        rep.add_check(label, anchor, ok, witness)
+    for label, anchor, witness in check_double_relations(n, max_degree):
+        rep.add_check(label, anchor, witness)
     gctx = GlobalContext.get(n)
-    law_ok = True
     degrees = degree_vectors_upto(n, max_degree)
-    for d in degrees[: min(3, len(degrees))]:
+    perms = list(itertools.permutations(range(1, n + 1)))
+    law_witness = None
+    for d in degrees[:3]:
         basis = gctx.basis(d)
-        if not basis:
+        if not basis or law_witness:
             continue
         vec = {basis[0]: FieldElem.var(gctx.ring, "x1") + FieldElem.var(gctx.ring, "h")}
-        for sa in itertools.permutations(range(1, n + 1)):
-            for sb in itertools.permutations(range(1, n + 1)):
-                lhs = sn_action(sa, d, sn_action(sb, d, vec))
-                rhs = sn_action(compose_perm(sa, sb), d, vec)
-                keys = set(lhs) | set(rhs)
-                for key in keys:
-                    a = lhs.get(key, gctx.local.zero)
-                    b = rhs.get(key, gctx.local.zero)
-                    if not (a - b).is_zero():
-                        law_ok = False
-    rep.add_check("symmetric group action law", "composition of twists matches composed permutation", law_ok)
+        for sa, sb in itertools.product(perms, repeat=2):
+            diff = vec_difference(sn_action(sa, d, sn_action(sb, d, vec)), sn_action(compose_perm(sa, sb), d, vec))
+            if diff is not None:
+                law_witness = f"sigma_a={sa} sigma_b={sb} on degree {list(d)} at {diff}"
+                break
+    rep.add_check("symmetric group action law", "composition of twists matches composed permutation", law_witness)
     for d in degrees:
-        ok = check_invariants_preserved(n, d)[0][2]
         rep.add_check(
             f"invariants preserved on degree {list(d)}",
             "operators keep the symmetric part",
-            ok,
+            invariants_defect(n, d),
         )
     for d in degrees:
         if sum(d) == 0:
             continue
-        for label, anchor, ok, witness in check_global_whittaker(n, d):
-            rep.add_check(label, anchor, ok, witness)
+        for label, anchor, witness in check_global_whittaker(n, d):
+            rep.add_check(label, anchor, witness)
     for d in degrees:
         spectrum = joint_spectrum(gctx.basis(d), gtalg.chern_generators(n, eig_global_chern))
-        vac, sep, wit = separation(spectrum, key=GlobalFixedPoint.sort_key)
+        vac, _, pair = separation(spectrum, key=GlobalFixedPoint.sort_key)
         if vac:
             rep.add(f"global spectrum separation on {list(d)}", "tautological weights distinguish fixed points", VACUOUS)
         else:
             rep.add_check(
                 f"global spectrum separation on {list(d)}",
                 "tautological weights distinguish fixed points",
-                sep,
-                None if sep else f"{wit[0].text()} vs {wit[1].text()}",
+                pair and f"{pair[0].text()} vs {pair[1].text()}",
             )
     finding_count = 0
     for d in degrees:
@@ -440,7 +417,7 @@ def suite_global(n: int, max_degree: int) -> VerificationReport:
 
 def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
     rep = VerificationReport("ktheory", {"max_degree": max_degree, "n": n})
-    tau_ok = True
+    tau_witness = None
     square_witness = None
     integrality_witness = None
     rows = []
@@ -449,7 +426,7 @@ def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
             for k in range(1, n + 1):
                 corr = ktheory.corrected_quantum_casimir_exponent(p, k)
                 if corr.total_degree() > 1:
-                    tau_ok = False
+                    tau_witness = tau_witness or f"{p.text()} k={k}: quadratic part survived"
                     continue
                 if k <= n - 1:
                     # det^2 * corrected = 1 is 2 det + corrected = 0 on exponents
@@ -471,28 +448,26 @@ def suite_ktheory(n: int, max_degree: int) -> tuple[VerificationReport, dict]:
     rep.add_probe(
         "tau-quadratic part cancels in the corrected Casimir",
         "multiplicative correction collapses to a monomial",
-        None if tau_ok else "quadratic part survived",
+        tau_witness,
     )
     rep.add_check(
         "squared determinant class inverts the corrected Casimir",
         "det^2 * corrected = 1 on every pattern",
-        square_witness is None,
         square_witness,
     )
     rep.add_probe("basis-change v-exponent integrality", "half-integer sums cancel", integrality_witness)
-    sep_all = True
+    sep_witness = None
     any_nonvacuous = False
     for d in degree_vectors_upto(n, max_degree):
-        vac, sep, _ = separation(joint_spectrum(enumerate_patterns(n, d), ktheory.det_class_generators(d)))
-        if not vac:
-            any_nonvacuous = True
-            if not sep:
-                sep_all = False
+        vac, _, pair = separation(joint_spectrum(enumerate_patterns(n, d), ktheory.det_class_generators(d)))
+        any_nonvacuous = any_nonvacuous or not vac
+        if pair and sep_witness is None:
+            sep_witness = f"degree {list(d)}: equal tuples on {pair[0].text()} and {pair[1].text()}"
     if any_nonvacuous:
         rep.add_check(
             "determinant-class tuples separate patterns",
             "distinct monomial spectra on every nonvacuous degree",
-            sep_all,
+            sep_witness,
         )
     else:
         rep.add("determinant-class tuples separate patterns", "no nonvacuous degree in range", VACUOUS)

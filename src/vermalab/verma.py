@@ -394,30 +394,33 @@ def gl_relation_defect(
     return out
 
 
+def first_defect(degrees, block) -> str | None:
+    """``degree [..] entry (r,c): value`` at the first of ``degrees`` where
+    ``block(d)`` is nonzero, or None when every block vanishes."""
+    for d in degrees:
+        witness = block(d).first_entry()
+        if witness is not None:
+            return f"degree {list(d)} {witness}"
+    return None
+
+
 def check_gl_relations(n: int, dmax: int):
     """Exact check of [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb for all
     ordered index pairs, on every block of total degree <= dmax.
 
-    Returns a list of (label, anchor, ok, witness_text) tuples.
+    Returns a list of (label, anchor, witness) tuples; the witness is None
+    where the relation holds.
     """
     ctx = VermaContext.get(n)
     degrees = degree_vectors_upto(n, dmax)
     units = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    results = []
-    for ab in units:
-        for cd in units:
-            if cd < ab:
-                continue
-            ok = True
-            witness = None
-            for d in degrees:
-                defect = gl_relation_defect(ctx, ab, cd, d)
-                if not defect.is_zero():
-                    ok = False
-                    r, c, v = defect.sorted_entries()[0]
-                    witness = f"degree {list(d)} entry ({r},{c}): {v.text()}"
-                    break
-            label = f"[E{ab[0]}{ab[1]},E{cd[0]}{cd[1]}]"
-            anchor = "gl(n) structure constants on every weight block"
-            results.append((label, anchor, ok, witness))
-    return results
+    return [
+        (
+            f"[E{ab[0]}{ab[1]},E{cd[0]}{cd[1]}]",
+            "gl(n) structure constants on every weight block",
+            first_defect(degrees, lambda d: gl_relation_defect(ctx, ab, cd, d)),
+        )
+        for ab in units
+        for cd in units
+        if cd >= ab
+    ]

@@ -106,24 +106,26 @@ def whittaker_component(n: int, d: DegreeVector) -> WhittakerComponent:
     return VermaContext.get(n)._cached(("WhittakerSolver",), lambda: WhittakerSolver(n)).component(d)
 
 
+def support_defect(n: int, d: DegreeVector) -> str | None:
+    """The patterns whose Whittaker coefficient in degree d vanishes, or
+    None when the component has full support."""
+    zero = [p for p, v in whittaker_component(n, d).coefficients.items() if v.is_zero()]
+    return ", ".join(p.text() for p in sorted(zero, key=lambda p: p.flat)) or None
+
+
 def check_cyclicity(n: int, d: DegreeVector):
-    """(all_nonzero, separated, details) certifying that the diagonal
-    subalgebra applied to the Whittaker component spans the weight space.
+    """(zero_witness, collision_witness) certifying that the diagonal
+    subalgebra applied to the Whittaker component spans the weight space;
+    each is None where its half holds.
 
     Nonvanishing of every fixed-point coefficient plus pairwise-distinct
     joint eigenvalue tuples let Lagrange interpolation reach every basis
     projector, which is the spanning statement.
     """
-    comp = whittaker_component(n, d)
-    zero_pats = [p for p, v in comp.coefficients.items() if v.is_zero()]
     basis = VermaContext.get(n).basis(tuple(d))
-    _, separated, _ = separation(joint_spectrum(basis, generator_set(n, d, "tildeCas")))
-    details = {
-        "dimension": len(basis),
-        "zero_coefficients": [p.text() for p in sorted(zero_pats, key=lambda p: p.flat)],
-        "separated": separated,
-    }
-    return (not zero_pats), separated, details
+    _, _, pair = separation(joint_spectrum(basis, generator_set(n, d, "tildeCas")))
+    collision = None if pair is None else f"equal tuples on {pair[0].text()} and {pair[1].text()}"
+    return support_defect(n, d), collision
 
 
 class SpectrumCollapseError(VermalabError):
@@ -160,8 +162,7 @@ def ring_structure(n: int, d: DegreeVector, specialization: dict[str, Fraction] 
             for g, label in enumerate(labels)
         },
     }
-    comp = whittaker_component(n, d)
-    out["whittaker_nonzero"] = all(not v.is_zero() for v in comp.coefficients.values())
+    out["whittaker_nonzero"] = support_defect(n, d) is None
     if specialization is None:
         return out
     # exact rational eigenvalue tuples per basis point

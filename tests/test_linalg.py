@@ -85,3 +85,9 @@ def test_solve_rows_over_fractions():
     res = solve_rows([[f(0), f(2), f(4), f(2)]], 3, zero)
     assert res.status == "underdetermined"
     assert res.solution == [f(0), f(1), f(0)]
+
+
+def test_first_entry_is_row_major_first():
+    assert SparseMatrix(2, 2, R).first_entry() is None
+    a = SparseMatrix(2, 2, R, {(1, 0): X1, (0, 1): H, (1, 1): ONE})
+    assert a.first_entry() == f"entry (0,1): {H.text()}"

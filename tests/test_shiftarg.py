@@ -32,7 +32,7 @@ from vermalab.shiftarg import (
     paper_h_weights,
     paper_mu_weights,
     q_coefficient,
-    qc_at_q_zero_matches,
+    qc_at_q_zero_defect,
     qc_commutator_block,
     qc_vs_quadratic_space,
     quadratic_space_element,
@@ -108,7 +108,7 @@ def test_qc_degenerates_at_q_zero():
     for n in (3, 4):
         for k in range(2, n):
             for d in degree_vectors_upto(n, 2):
-                assert qc_at_q_zero_matches(n, k, d)
+                assert qc_at_q_zero_defect(n, k, d) is None
 
 
 def test_qc_commutators_vanish_up_to_degree_two():
@@ -131,9 +131,9 @@ def test_module_level_checkers():
 
     assert check_qc_commutativity(3, (1, 1)) == []  # single element, vacuous
     results = check_qc_commutativity(4, (1, 0, 1))
-    assert results == [(2, 3, True, None)]
+    assert results == [(2, 3, None)]
     flat = check_flatness(4, (1, 0, 0))
-    assert all(is_zero for _, is_zero, _ in flat)
+    assert all(witness is None for _, witness in flat)
     with pytest.raises(Exception, match="Picard rank"):
         check_qc_commutativity(2, (1,))
 

@@ -10,6 +10,7 @@ from vermalab.shiftarg import lazy_qc, quantum_context
 from vermalab.verma import (
     VermaContext,
     check_gl_relations,
+    first_defect,
     gl_relation_defect,
     lazy_cartan,
     lazy_eij,
@@ -98,8 +99,17 @@ def test_h1_eigenvalue_formula():
 @pytest.mark.parametrize("n,dmax", [(2, 3), (3, 2)])
 def test_gl_relations_small(n, dmax):
     results = check_gl_relations(n, dmax)
-    bad = [r for r in results if not r[2]]
+    bad = [r for r in results if r[2] is not None]
     assert not bad, bad
+
+
+def test_first_defect_names_the_first_nonzero_degree():
+    c = VermaContext.get(2)
+    degrees = degree_vectors_upto(2, 3)
+    assert first_defect(degrees, lambda d: gl_relation_defect(c, (1, 2), (2, 1), d)) is None
+    # E12 alone is zero on V_0 (nothing to lower) and nonzero from V_1 on
+    witness = first_defect(degrees, lazy_eij(c, 1, 2).block)
+    assert witness == f"degree [1] entry (0,0): {c.f_block(1, (1,)).get(0, 0).text()}"
 
 
 def test_diagonal_commute_identity():

@@ -68,12 +68,11 @@ def test_all_coefficients_nonzero_small():
 
 
 def test_cyclicity_reports():
-    nz, sep, details = check_cyclicity(2, (2,))
-    assert nz and sep and details["dimension"] == 1
-    nz, sep, details = check_cyclicity(3, (1, 1))
-    assert nz and sep and details["dimension"] == 2
-    nz, sep, _ = check_cyclicity(3, (2, 1))
-    assert nz and sep
+    assert check_cyclicity(2, (2,)) == (None, None)
+    assert VermaContext.get(2).dim((2,)) == 1
+    assert check_cyclicity(3, (1, 1)) == (None, None)
+    assert VermaContext.get(3).dim((1, 1)) == 2
+    assert check_cyclicity(3, (2, 1)) == (None, None)
 
 
 def test_component_serialization():
