@@ -9,6 +9,7 @@ no timestamps.  Timings are printed to stderr only.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -213,13 +214,22 @@ def _dispatch(args) -> tuple:
     if cmd == "monodromy":
         spec = _parse_spec(args.spec, args.n)
         segments = _load_segments(args.path)
-        if any(len(seg[end]) != args.n - 2 for seg in segments for end in ("from", "to")):
+        points = [seg[end] for seg in segments for end in ("from", "to")]
+        if any(len(point) != args.n - 2 for point in points):
             raise UsageError(f"path file {args.path}: every point needs n-2 = {args.n - 2} q coordinates")
+        if not all(cmath.isfinite(z) for point in points for z in point):
+            raise UsageError(f"path file {args.path}: every q coordinate must be finite")
+        degree = _require_degree(args)
+        kappa = _fraction("--kappa", args.kappa)
+        try:
+            float(kappa)
+        except OverflowError:
+            raise UsageError(f"--kappa is outside the float range, got {args.kappa!r}") from None
         rep, out = suites.suite_monodromy(
             args.n,
-            _require_degree(args),
+            degree,
             spec,
-            _fraction("--kappa", args.kappa),
+            kappa,
             segments,
             tolerance=args.tolerance,
         )

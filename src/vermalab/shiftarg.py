@@ -291,7 +291,13 @@ class ConnectionSpec:
         for row, pair in enumerate(pairs):
             for out, p in zip((self.numerators, self.denominators), pair):
                 for e, coeff in p.terms.items():
-                    out[row, rows[q_exponent(e)]] = float(coeff)
+                    try:
+                        out[row, rows[q_exponent(e)]] = float(coeff)
+                    except OverflowError:
+                        k, entry = divmod(row, self.dim * self.dim)
+                        raise VermalabError(
+                            f"QC{k + 2} entry {divmod(entry, self.dim)} has a coefficient outside the float range"
+                        ) from None
         self._neg_kappa = -float(self.kappa)
 
     def blocks_at(self, q: list[complex]) -> np.ndarray:
@@ -319,13 +325,16 @@ class ConnectionSpec:
     def certify(self, q: list[complex]) -> None:
         """Check the compiled blocks against the exact ones at q.
 
-        A vanishing denominator raises the exact ``PoleError``; a block
-        whose compiled values differ from the exact ones by more than
-        1e-10 times max(1, its largest exact entry) raises
-        ``VermalabError``.
+        A vanishing denominator raises the exact ``PoleError``; an exact
+        entry that overflows the complex range, or a block whose compiled
+        values differ from the exact ones by more than 1e-10 times max(1,
+        its largest exact entry), raises ``VermalabError``.
         """
         qmap = dict(zip(self.qnames, q))
-        exact = [self.matrix_at(qmap, k) for k in range(2, self.n)]
+        try:
+            exact = [self.matrix_at(qmap, k) for k in range(2, self.n)]
+        except OverflowError:
+            raise VermalabError(f"the connection overflows at q = {list(q)}") from None
         for k, got, want in zip(range(2, self.n), self.blocks_at(q), exact):
             gap = float(np.max(np.abs(got - want)))
             if gap > _CERTIFY_RTOL * max(1.0, float(np.max(np.abs(want)))):

@@ -243,8 +243,13 @@ def test_cli_out_must_name_a_writable_file(tmp_path):
         '{"segments": []}',
         '{"segments": [{"from": [], "to": []}]}',
         '{"segments": [{"from": [[0.3, 0.0], [0.5, 0.0]], "to": [[0.0, 0.3], [0.0, 0.5]]}]}',
+        '{"segments": [{"from": [[Infinity, 0.0]], "to": [[0.0, 0.3]]}]}',
+        '{"segments": [{"from": [[0.3, 0.0]], "to": [[0.0, -Infinity]]}]}',
+        '{"segments": [{"from": [1e400], "to": [0.3]}]}',
+        '{"segments": [{"from": [[NaN, 0.0]], "to": [[0.0, 0.3]]}]}',
     ],
-    ids=["missing", "malformed", "no-segments-key", "no-to-key", "empty", "too-few-q", "too-many-q"],
+    ids=["missing", "malformed", "no-segments-key", "no-to-key", "empty", "too-few-q", "too-many-q",
+         "infinite-q", "infinite-imaginary-q", "overflowing-q", "nan-q"],
 )
 def test_cli_bad_monodromy_path_is_usage_error(tmp_path, content):
     path = tmp_path / "loop.json"
@@ -275,6 +280,8 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
         ("--spec", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC + ",q2=1")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "abc")),
         ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1/0")),
+        ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1e400")),
+        ("--kappa", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa=-1e400")),
         ("--n", ("verify-gl", "--n", "1", "--max-degree", "1")),
         ("--n", ("patterns", "--n", "0", "--degree", "1")),
         ("--max-degree", ("verify-gl", "--n", "2", "--max-degree", "-1")),
@@ -284,7 +291,8 @@ _SPEC = "x1=0,x2=1,x3=2,h=1"
         ("--tolerance", ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--tolerance", "0")),
     ],
     ids=["degree-letter", "degree-empty", "degree-short", "degree-long", "degree-negative", "spec-letters",
-         "spec-zero-den", "spec-no-value", "spec-empty", "spec-unknown-name", "spec-q-variable", "kappa-letters", "kappa-zero-den", "n-one", "n-zero",
+         "spec-zero-den", "spec-no-value", "spec-empty", "spec-unknown-name", "spec-q-variable", "kappa-letters", "kappa-zero-den",
+         "kappa-overflow", "kappa-negative-overflow", "n-one", "n-zero",
          "max-degree-negative", "tolerance-nan", "tolerance-inf", "tolerance-negative", "tolerance-zero"],
 )
 def test_cli_malformed_value_is_usage_error(tmp_path, flag, argv):
@@ -345,6 +353,25 @@ def test_cli_monodromy_pole_at_an_endpoint_is_one_line_error(tmp_path):
     res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(path))
     assert res.returncode == 1
     assert res.stderr == "error: denominator vanishes at the point: q2 + 1\n"
+
+
+@pytest.mark.parametrize("spec", ["x1=0,x2=1e400,x3=2,h=1", "x1=0,x2=1,x3=2,h=1e-400"], ids=["huge-x2", "tiny-h"])
+def test_cli_monodromy_coefficient_overflow_is_one_line_error(tmp_path, spec):
+    # the spec is exact, but the compiled connection holds floats
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"segments": [{"from": [[0.3, 0.0]], "to": [[0.0, 0.3]]}]}))
+    res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", spec, "--path", str(path))
+    _assert_one_line_error(res, 1, "error: QC2 entry (0, 0) has a coefficient outside the float range")
+
+
+def test_cli_monodromy_overflow_at_a_finite_point_is_one_line_error(tmp_path):
+    # q2 = 1e160 is finite, but an exact entry's q2^2 is not
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"segments": [{"from": [1e160, 0.5], "to": [0.3, 0.5]}]}))
+    res = _run_cli(
+        "monodromy", "--n", "4", "--degree", "1,1,1", "--spec", "x1=0,x2=1/3,x3=5/7,x4=3/2,h=1", "--path", str(path)
+    )
+    _assert_one_line_error(res, 1, "error: the connection overflows at q = [(1e+160+0j), (0.5+0j)]")
 
 
 def test_cli_outputs_identical_across_hash_seeds(tmp_path):
