@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python3 microbench/capture_exact_div_corpus.py tests/data/exact_div_corpus.json tests/data/gcd_corpus.json
+    PYTHONPATH=src python3 microbench/capture_exact_div_corpus.py DIV_OUT.json GCD_OUT.json
 
 It runs ``whittaker --n 4 --degree 3,2,1`` (the generic gcd and division
 path) and ``qc-check --n 5 --degree 1,1,0,0`` (the hinted path in the
@@ -22,6 +22,14 @@ separated from the rest (0.24 s and up against 0.15 s and down on a
 
 Both outputs name the ring and store each polynomial as
 ``[exponents, coefficient]`` terms in graded-lex descending order.
+
+The committed ``tests/data/exact_div_corpus.json`` is a fixed snapshot of
+an earlier capture, not something this script reproduces: later changes
+to the field layer (cross-cancelled products, hinted denominators rebuilt
+from their factors) moved which pairs reach ``exact_div``, so a new run
+writes different qc-deformed cases.  The snapshot is kept byte for byte,
+so that ``BENCH_ring_exact_div.json`` and the sympy corpus test stay
+comparable; write a new capture to another path.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +44,16 @@ class UsageError(VermalabError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises every argparse error as a UsageError, reported on one line."""
+    """Raises every argparse error as a UsageError, reported on one line.
+
+    A word that is a negative rational or float (``-1/2``, ``-.5``,
+    ``-1e-3``) is an option value, as ``-2`` is by default, so
+    ``--kappa -1/2`` means ``--kappa=-1/2``.  No flag looks like one.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
     def error(self, message):
         raise UsageError(message)

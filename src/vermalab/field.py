@@ -8,13 +8,15 @@ That makes the representation unique, so ``==`` is mathematical equality.
 Most denominators in this package are products of known irreducible
 factors (linear forms in x and h, and the deformation denominators).
 Elements built through ``from_factors`` carry that factorization along as
-a private hint ``dfac``: a multiset (``Counter``) of canonical factors
-with den = integer * prod(dfac), or None for no hint.  Each operation has
-one body; only the way it finds the factor to cancel differs.  When both
-operands carry the hint it intersects their factor multisets and cancels
-by exact trial division; otherwise it takes a generic polynomial gcd.
-Either way the stored pair is fully reduced, and zero tests are plain
-numerator tests.
+a private hint ``dfac``: a multiset (``Counter``) of canonical factors,
+each primitive with a positive leading coefficient, or None for no hint.
+A hinted den is c * prod(dfac) with c = den.content() > 0 (Gauss's
+lemma).  When both operands carry the hint, an operation cancels factors
+of the intersected multisets by exact trial division of the numerator and
+its integer content against c, then rebuilds den as c * prod(dfac) from
+what is left: it never divides a denominator.  Otherwise it cancels a
+generic polynomial gcd from both.  Either way the stored pair is fully
+reduced, and zero tests are plain numerator tests.
 """
 
 from __future__ import annotations
@@ -85,30 +87,35 @@ def _is_one(p: MultiPoly) -> bool:
     return p.is_const() and p.const_value() == 1
 
 
-def _cancel(num: MultiPoly, den: MultiPoly, within):
-    """Cancel from num/den the common factor of num and ``within``.
+def _cancel_gcd(num: MultiPoly, den: MultiPoly, within: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Cancel from num/den the gcd of num and ``within``, a divisor of den."""
+    g = poly_gcd(num, within)
+    if _is_one(g):
+        return num, den
+    return exact_div(num, g), exact_div(den, g)
 
-    ``within`` divides den and is either a polynomial, whose gcd with num
-    is cancelled, or a multiset of known irreducible factors, each tried
-    by exact division of num as often as it occurs.  Returns the reduced
-    pair and the factors of ``within`` left uncancelled (None for a
-    polynomial).
-    """
-    if isinstance(within, MultiPoly):
-        g = poly_gcd(num, within)
-        if _is_one(g):
-            return num, den, None
-        return exact_div(num, g), exact_div(den, g), None
-    cancelled: Counter = Counter()
-    for f, m in within.items():
-        while cancelled[f] < m:
+
+def _cancel_factors(num: MultiPoly, factors: Counter) -> tuple[MultiPoly, Counter]:
+    """Divide num by each of ``factors`` as often as it divides num, at most
+    as often as it occurs; return the quotient and the factors left."""
+    left: Counter = Counter()
+    for f, m in factors.items():
+        while m:
             q = exact_div(num, f)
             if q is None:
+                left[f] = m
                 break
-            num = q
-            den = exact_div(den, f)
-            cancelled[f] += 1
-    return num, den, within - cancelled
+            num, m = q, m - 1
+    return num, left
+
+
+def _from_hint(num: MultiPoly, c: int, dfac: Counter) -> "FieldElem":
+    """The canonical num / (c * prod(dfac)) for c > 0 and num prime to each
+    factor: only integer content can cancel, and den is positive."""
+    g0 = int_gcd(num.content(), c)
+    if g0 > 1:
+        num, c = num.exact_div_int(g0), c // g0
+    return FieldElem(num, _scaled_product(num.ring, c, dfac), _canonical=True, dfac=dfac)
 
 
 class FieldElem:
@@ -131,7 +138,7 @@ class FieldElem:
         if num.is_zero():
             den = MultiPoly.const(den.ring, 1)
         else:
-            num, den, _ = _cancel(num, den, den)
+            num, den = _cancel_gcd(num, den, den)
             num, den = _content_sign_fix(num, den)
         self.num = num
         self.den = den
@@ -231,32 +238,34 @@ class FieldElem:
             return other
         if other.num.is_zero():
             return self
+        if self.dfac is not None and other.dfac is not None:
+            # the cofactors of the common factors are rebuilt from the
+            # hints, and any new common factor of num and den is one of them
+            common = self.dfac & other.dfac
+            cs, co = self.den.content(), other.den.content()
+            fs, fo = self.dfac - common, other.dfac - common
+            den_self = _scaled_product(self.ring, cs, fs) if common else self.den
+            den_other = _scaled_product(self.ring, co, fo) if common else other.den
+            num = self.num * den_other + other.num * den_self
+            if num.is_zero():
+                return FieldElem.zero(self.ring)
+            num, left = _cancel_factors(num, common)
+            # den keeps one copy of the common factors, less the cancelled ones
+            return _from_hint(num, cs * co, fs + fo + left)
         # reduced addition: any new common factor of num and den divides the
         # common part g of the two denominators, so no full gcd is needed
-        hinted = self.dfac is not None and other.dfac is not None
-        if hinted:
-            common = self.dfac & other.dfac
-            g = reduce(mul, common.elements()) if common else None
-        else:
-            g = poly_gcd(self.den, other.den)
-            g = common = None if _is_one(g) else g
-        if g is None:
-            num = self.num * other.den + other.num * self.den
-            den_self = self.den
-        else:
-            den_self = exact_div(self.den, g)
-            den_other = exact_div(other.den, g)
-            num = self.num * den_other + other.num * den_self
+        g = poly_gcd(self.den, other.den)
+        g = None if _is_one(g) else g
+        den_self = self.den if g is None else exact_div(self.den, g)
+        den_other = other.den if g is None else exact_div(other.den, g)
+        num = self.num * den_other + other.num * den_self
         if num.is_zero():
             return FieldElem.zero(self.ring)
         den = den_self * other.den
-        left = common
         if g is not None:
-            num, den, left = _cancel(num, den, common)
+            num, den = _cancel_gcd(num, den, g)
         num, den = _content_sign_fix(num, den)
-        # den lost one copy of the common factors, then the cancelled ones
-        dfac = self.dfac + other.dfac - common - (common - left) if hinted else None
-        return FieldElem(num, den, _canonical=True, dfac=dfac)
+        return FieldElem(num, den, _canonical=True)
 
     def __neg__(self) -> "FieldElem":
         return FieldElem(-self.num, self.den, _canonical=True, dfac=self.dfac)
@@ -269,11 +278,14 @@ class FieldElem:
         if self.num.is_zero() or other.num.is_zero():
             return FieldElem.zero(self.ring)
         # cross-cancel so the remaining product is already reduced
-        hinted = self.dfac is not None and other.dfac is not None
-        n1, d2, left2 = _cancel(self.num, other.den, other.dfac if hinted else other.den)
-        n2, d1, left1 = _cancel(other.num, self.den, self.dfac if hinted else self.den)
+        if self.dfac is not None and other.dfac is not None:
+            n1, left2 = _cancel_factors(self.num, other.dfac)
+            n2, left1 = _cancel_factors(other.num, self.dfac)
+            return _from_hint(n1 * n2, self.den.content() * other.den.content(), left1 + left2)
+        n1, d2 = _cancel_gcd(self.num, other.den, other.den)
+        n2, d1 = _cancel_gcd(other.num, self.den, self.den)
         num, den = _content_sign_fix(n1 * n2, d1 * d2)
-        return FieldElem(num, den, _canonical=True, dfac=left1 + left2 if hinted else None)
+        return FieldElem(num, den, _canonical=True)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         other = self._coerce(other)
@@ -364,10 +376,13 @@ class FieldElem:
         num = self.num.derivative(v) * self.den - self.num * self.den.derivative(v)
         if num.is_zero():
             return FieldElem.zero(self.ring)
+        if self.dfac is not None:
+            num, left = _cancel_factors(num, self.dfac + self.dfac)
+            return _from_hint(num, self.den.content() ** 2, left)
         den = self.den * self.den
-        num, den, left = _cancel(num, den, den if self.dfac is None else self.dfac + self.dfac)
+        num, den = _cancel_gcd(num, den, den)
         num, den = _content_sign_fix(num, den)
-        return FieldElem(num, den, _canonical=True, dfac=left)
+        return FieldElem(num, den, _canonical=True)
 
     # -- serialization -----------------------------------------------------------
 

@@ -342,6 +342,21 @@ def test_cli_monodromy_open_path_fails_with_endpoints(tmp_path):
     assert json.loads(out.read_text())["dimension"] == 2
 
 
+def test_cli_negative_kappa_may_be_a_separate_word(tmp_path):
+    # argparse takes "-1/2" for a flag unless the parser knows it is a number
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({"segments": [{"from": [[0.3, 0.0]], "to": [[0.0, 0.3]]}]}))
+    base = ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(path))
+    outputs = {}
+    for name, kappa in {"word": ("--kappa", "-1/2"), "joined": ("--kappa=-1/2",), "default": ()}.items():
+        out = tmp_path / f"{name}.json"
+        res = _run_cli(*base, *kappa, "--out", str(out))
+        assert res.returncode == 1 and "error" not in res.stderr, res.stderr
+        outputs[name] = (res.stdout, out.read_bytes())
+    assert outputs["word"] == outputs["joined"]
+    assert outputs["word"][1] != outputs["default"][1]
+
+
 def test_cli_monodromy_pole_at_an_endpoint_is_one_line_error(tmp_path):
     # q2 = -1 is a pole of the connection (its denominator is q2 + 1); the
     # endpoint certificate stops the run before any step is taken
@@ -389,6 +404,8 @@ def test_cli_outputs_identical_across_hash_seeds(tmp_path):
         ("whittaker", "--n", "3", "--degree", "1,1"),
         # the compiled connection: float sums in a fixed order
         ("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(loop)),
+        # the hinted field path: dens rebuilt from their factor multisets
+        ("verify-gl", "--n", "3", "--max-degree", "2"),
     ]
     outputs = {}
     for seed in ("0", "12345"):
@@ -401,6 +418,6 @@ def test_cli_outputs_identical_across_hash_seeds(tmp_path):
         for path in sorted(out_dir.iterdir()):
             outputs[(seed, path.name)] = path.read_bytes()
     files = sorted(key[1] for key in outputs if key[0] == "0" and len(key) == 2)
-    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table", "r3.json", "r3.json.component", "r4.json"]
+    assert files == ["r0.json", "r1.json", "r2.json", "r2.json.table", "r3.json", "r3.json.component", "r4.json", "r5.json"]
     for key in [k for k in outputs if k[0] == "0"]:
         assert outputs[key] == outputs[("12345",) + key[1:]], key

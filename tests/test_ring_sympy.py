@@ -6,9 +6,11 @@ sparse polynomials, in the classical ring of rank 3 and the quantum ring
 of rank 4.  Dividend and divisor are drawn from one factor pool, so
 about 70% of the divisions fail, as on the gl-relations workload.  Exact
 division is also checked on hand-picked edge cases of its packed-key
-layout and on a corpus of real operands captured from the whittaker-solve
-and qc-deformed workloads (``data/exact_div_corpus.json``, written by
-``microbench/capture_exact_div_corpus.py``).  sympy is a test-only oracle.
+layout and on a fixed snapshot of real operands from the whittaker-solve
+and qc-deformed workloads (``data/exact_div_corpus.json``, first captured
+by ``microbench/capture_exact_div_corpus.py``).  Chains of hinted field
+operations are checked against the generic constructor and sympy.  sympy
+is a test-only oracle.
 """
 
 import json
@@ -355,3 +357,58 @@ def test_hint_survives_chained_operations(ring, data):
             assert (got.num.terms, got.den.terms) == _cancelled(num, den)
         elems.append(got)
         want.append((num, den))
+
+
+def _unreduced(op: str, a: FieldElem, b: FieldElem, v: str) -> tuple[MultiPoly, MultiPoly]:
+    """num and den of one operation on reduced operands, before any cancelling."""
+    if op == "d":
+        i = a.ring.index[v]
+        return a.num.derivative(i) * a.den - a.num * a.den.derivative(i), a.den * a.den
+    return {
+        "+": lambda: (a.num * b.den + b.num * a.den, a.den * b.den),
+        "-": lambda: (a.num * b.den - b.num * a.den, a.den * b.den),
+        "*": lambda: (a.num * b.num, a.den * b.den),
+        "/": lambda: (a.num * b.den, a.den * b.num),
+    }[op]()
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.sampled_from(RINGS), st.data())
+def test_hinted_chain_equals_generic_form(ring, data):
+    # hinted elements with rational coefficients over a small shared pool of
+    # linear-form denominators, which numerators draw from too, and one
+    # generic element, in chains of + - * / and derivatives; each step must
+    # have the value of the generic constructor on its unreduced num/den,
+    # and a hinted step must also be sympy's reduced form, with den its
+    # positive content times prod(dfac).  Only value is compared with the
+    # generic form: under GCD_DEFECT it can stay unreduced, e.g.
+    # (x1*h - x2*h + x1 - x2)/(x1 - x2)^2.
+    dens = data.draw(st.lists(linear_forms(ring), min_size=1, max_size=3, unique_by=lambda f: f.text()))
+    coeffs = st.fractions(-6, 6, max_denominator=6).filter(bool)
+    nums = st.one_of(st.sampled_from(dens), linear_forms(ring), sparse_polys(ring))
+    elems = [
+        FieldElem.from_factors(
+            ring,
+            data.draw(coeffs),
+            data.draw(st.lists(nums, max_size=2)),
+            data.draw(st.lists(st.sampled_from(dens), min_size=1, max_size=3)),
+        )
+        for _ in range(3)
+    ]
+    elems.append(FieldElem(data.draw(sparse_polys(ring)), data.draw(linear_forms(ring))))
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(["+", "-", "*", "/", "d"]))
+        a, b = (elems[data.draw(st.integers(0, len(elems) - 1))] for _ in range(2))
+        if op == "/" and b.is_zero():
+            continue
+        v = data.draw(st.sampled_from(ring.names))
+        got = a.derivative(v) if op == "d" else binary[op](a, b)
+        num, den = _unreduced(op, a, b, v)
+        want = FieldElem(num, den)
+        assert got.num * want.den == want.num * got.den, (op, a, b, v)
+        if got.dfac is not None:
+            assert (got.num.terms, got.den.terms) == _cancelled(_sym(num), _sym(den)), (op, a, b, v)
+            c = got.den.content()
+            assert c > 0 and got.den == _product(ring, got.dfac.elements()).scale(c), (op, got, got.dfac)
+        elems.append(got)
