@@ -3,20 +3,23 @@
 A FieldElem is a reduced fraction num/den of integer-coefficient
 polynomials with gcd(num, den) = 1 (polynomial gcd and shared integer
 content removed) and the graded-lex leading coefficient of den positive.
-That makes the representation unique, so ``==`` is mathematical equality.
+That makes the representation unique, so ``==`` is mathematical equality,
+and a constant element hashes as its ``Fraction`` value.
 
 Most denominators in this package are products of known irreducible
 factors (linear forms in x and h, and the deformation denominators).
 Elements built through ``from_factors`` carry that factorization along as
-a private hint ``dfac``: a multiset (``Counter``) of canonical factors,
-each primitive with a positive leading coefficient, or None for no hint.
-A hinted den is c * prod(dfac) with c = den.content() > 0 (Gauss's
-lemma).  When both operands carry the hint, an operation cancels factors
-of the intersected multisets by exact trial division of the numerator and
-its integer content against c, then rebuilds den as c * prod(dfac) from
-what is left: it never divides a denominator.  Otherwise it cancels a
-generic polynomial gcd from both.  Either way the stored pair is fully
-reduced, and zero tests are plain numerator tests.
+a private hint: ``dfac``, a multiset (``Counter``) of canonical factors,
+each primitive with a positive leading coefficient, and the integer
+``dc`` = den.content() > 0, so den = dc * prod(dfac) (Gauss's lemma).
+A hinted element stores dc and dfac and multiplies den out on its first
+read, then keeps it; most hinted dens are never read.  A generic element
+has ``dfac`` None and stores den.  When both operands carry the hint, an
+operation cancels factors of the intersected multisets by exact trial
+division of the numerator and its integer content against dc, and keeps
+what is left as the hint: it never divides a denominator.  Otherwise it
+cancels a generic polynomial gcd from both.  Either way the stored pair
+is fully reduced, and zero tests are plain numerator tests.
 """
 
 from __future__ import annotations
@@ -109,23 +112,30 @@ def _cancel_factors(num: MultiPoly, factors: Counter) -> tuple[MultiPoly, Counte
     return num, left
 
 
+def _hinted(num: MultiPoly, c: int, dfac: Counter) -> "FieldElem":
+    """The canonical num / (c * prod(dfac)), its den not yet built."""
+    fe = FieldElem.__new__(FieldElem)
+    fe.num, fe.dc, fe.dfac = num, c, dfac
+    return fe
+
+
 def _from_hint(num: MultiPoly, c: int, dfac: Counter) -> "FieldElem":
     """The canonical num / (c * prod(dfac)) for c > 0 and num prime to each
     factor: only integer content can cancel, and den is positive."""
     g0 = int_gcd(num.content(), c)
     if g0 > 1:
         num, c = num.exact_div_int(g0), c // g0
-    return FieldElem(num, _scaled_product(num.ring, c, dfac), _canonical=True, dfac=dfac)
+    return _hinted(num, c, dfac)
 
 
 class FieldElem:
-    __slots__ = ("num", "den", "dfac")
+    __slots__ = ("num", "den", "dfac", "dc")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly, *, _canonical: bool = False, dfac=None):
+    def __init__(self, num: MultiPoly, den: MultiPoly, *, _canonical: bool = False):
+        self.dfac = None
         if _canonical:
             self.num = num
             self.den = den
-            self.dfac = dfac
             return
         if den.is_zero():
             raise DivisionByZeroError("rational function with zero denominator")
@@ -142,25 +152,24 @@ class FieldElem:
             num, den = _content_sign_fix(num, den)
         self.num = num
         self.den = den
-        self.dfac = None
+
+    def __getattr__(self, name):
+        # only a hinted element leaves den unset: build it once, on first read
+        if name != "den":
+            raise AttributeError(f"'FieldElem' object has no attribute {name!r}")
+        self.den = den = _scaled_product(self.num.ring, self.dc, self.dfac)
+        return den
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, ring: PolyRing, c: int | Fraction) -> "FieldElem":
         c = Fraction(c)
-        return cls(
-            MultiPoly.const(ring, c.numerator),
-            MultiPoly.const(ring, c.denominator),
-            _canonical=True,
-            dfac=Counter(),
-        )
+        return _hinted(MultiPoly.const(ring, c.numerator), c.denominator, Counter())
 
     @classmethod
     def var(cls, ring: PolyRing, name: str) -> "FieldElem":
-        return cls(
-            MultiPoly.var(ring, name), MultiPoly.const(ring, 1), _canonical=True, dfac=Counter()
-        )
+        return _hinted(MultiPoly.var(ring, name), 1, Counter())
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "FieldElem":
@@ -202,9 +211,7 @@ class FieldElem:
             return cls.zero(ring)
         common = nf & df
         nf, df = nf - common, df - common
-        num = _scaled_product(ring, coeff.numerator, nf)
-        den = _scaled_product(ring, coeff.denominator, df)
-        return cls(num, den, _canonical=True, dfac=df)
+        return _hinted(_scaled_product(ring, coeff.numerator, nf), coeff.denominator, df)
 
     # -- queries ----------------------------------------------------------
 
@@ -219,6 +226,8 @@ class FieldElem:
         return not self.num.is_zero()
 
     def __hash__(self):
+        if self.num.is_const() and self.den.is_const():
+            return hash(Fraction(self.num.const_value(), self.den.const_value()))
         return hash((self.num, self.den))
 
     def __eq__(self, other):
@@ -242,7 +251,7 @@ class FieldElem:
             # the cofactors of the common factors are rebuilt from the
             # hints, and any new common factor of num and den is one of them
             common = self.dfac & other.dfac
-            cs, co = self.den.content(), other.den.content()
+            cs, co = self.dc, other.dc
             fs, fo = self.dfac - common, other.dfac - common
             den_self = _scaled_product(self.ring, cs, fs) if common else self.den
             den_other = _scaled_product(self.ring, co, fo) if common else other.den
@@ -268,7 +277,9 @@ class FieldElem:
         return FieldElem(num, den, _canonical=True)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.num, self.den, _canonical=True, dfac=self.dfac)
+        if self.dfac is not None:
+            return _hinted(-self.num, self.dc, self.dfac)
+        return FieldElem(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-self._coerce(other))
@@ -281,7 +292,7 @@ class FieldElem:
         if self.dfac is not None and other.dfac is not None:
             n1, left2 = _cancel_factors(self.num, other.dfac)
             n2, left1 = _cancel_factors(other.num, self.dfac)
-            return _from_hint(n1 * n2, self.den.content() * other.den.content(), left1 + left2)
+            return _from_hint(n1 * n2, self.dc * other.dc, left1 + left2)
         n1, d2 = _cancel_gcd(self.num, other.den, other.den)
         n2, d1 = _cancel_gcd(other.num, self.den, self.den)
         num, den = _content_sign_fix(n1 * n2, d1 * d2)
@@ -353,12 +364,16 @@ class FieldElem:
     def _map(self, f: Callable[[MultiPoly], MultiPoly]) -> "FieldElem":
         """Apply a variable map f that sends each canonical factor to a
         canonical factor up to sign, so the reduced form only needs its
-        sign fixed."""
-        num, den = _positive_den(f(self.num), f(self.den))
-        dfac = None
-        if self.dfac is not None:
-            dfac = Counter(_canon_factor(f(p))[0] for p in self.dfac.elements())
-        return FieldElem(num, den, _canonical=True, dfac=dfac)
+        sign fixed: for a hint, the product of the factors' signs."""
+        if self.dfac is None:
+            return FieldElem(*_positive_den(f(self.num), f(self.den)), _canonical=True)
+        sign, dfac = 1, Counter()
+        for p in self.dfac.elements():
+            q, s = _canon_factor(f(p))
+            dfac[q] += 1
+            sign *= s
+        num = f(self.num)
+        return _hinted(num if sign > 0 else -num, self.dc, dfac)
 
     def permute_x(self, sigma: tuple[int, ...]) -> "FieldElem":
         """Apply x_j -> x_{sigma(j)} (sigma in one-line notation, 1-based)."""
@@ -378,7 +393,7 @@ class FieldElem:
             return FieldElem.zero(self.ring)
         if self.dfac is not None:
             num, left = _cancel_factors(num, self.dfac + self.dfac)
-            return _from_hint(num, self.den.content() ** 2, left)
+            return _from_hint(num, self.dc**2, left)
         den = self.den * self.den
         num, den = _cancel_gcd(num, den, den)
         num, den = _content_sign_fix(num, den)

@@ -148,3 +148,30 @@ def test_from_factors_matches_generic_arithmetic():
     generic = FieldElem.from_rational(R, Fraction(-1, 2)) * (X1 - X2 + H) / (H * H)
     assert fe == generic
     assert exact_div(fe.den, h) is not None
+
+
+def test_constant_hash_agrees_with_equal_numbers():
+    generic = FieldElem(MultiPoly.const(R, 6), MultiPoly.const(R, -4))
+    for fe, value in [
+        (ONE, 1),
+        (FieldElem.zero(R), 0),
+        (FieldElem.from_rational(R, Fraction(-3, 4)), Fraction(-3, 4)),
+        (generic, Fraction(-3, 2)),
+        ((X1 + H) / (2 * X1 + 2 * H), Fraction(1, 2)),
+    ]:
+        assert fe == value and hash(fe) == hash(value), fe
+        assert len({fe, value}) == 1, fe
+
+
+def test_hinted_product_without_cancellation_makes_one_polynomial_product(monkeypatch):
+    x1, x2, x3, h = (MultiPoly.var(R, v) for v in ("x1", "x2", "x3", "h"))
+    a = FieldElem.from_factors(R, Fraction(2, 3), [x1 + h], [x1 - x2, x2 - x3 + h])
+    b = FieldElem.from_factors(R, Fraction(-5, 7), [x3 - h], [x1 - x3, h])
+    calls = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    prod = a * b
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert prod.dfac == a.dfac + b.dfac
+    assert prod == Fraction(-10, 21) * (X1 + H) * (X3 - H) / ((X1 - X2) * (X2 - X3 + H) * (X1 - X3) * H)

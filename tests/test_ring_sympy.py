@@ -380,9 +380,11 @@ def test_hinted_chain_equals_generic_form(ring, data):
     # generic element, in chains of + - * / and derivatives; each step must
     # have the value of the generic constructor on its unreduced num/den,
     # and a hinted step must also be sympy's reduced form, with den its
-    # positive content times prod(dfac).  Only value is compared with the
+    # positive content dc times prod(dfac).  Only value is compared with the
     # generic form: under GCD_DEFECT it can stay unreduced, e.g.
-    # (x1*h - x2*h + x1 - x2)/(x1 - x2)^2.
+    # (x1*h - x2*h + x1 - x2)/(x1 - x2)^2.  A hinted step also equals, and
+    # hashes as, the generic element of its own num and dc * prod(dfac),
+    # both before its den is first read and after.
     dens = data.draw(st.lists(linear_forms(ring), min_size=1, max_size=3, unique_by=lambda f: f.text()))
     coeffs = st.fractions(-6, 6, max_denominator=6).filter(bool)
     nums = st.one_of(st.sampled_from(dens), linear_forms(ring), sparse_polys(ring))
@@ -404,11 +406,16 @@ def test_hinted_chain_equals_generic_form(ring, data):
             continue
         v = data.draw(st.sampled_from(ring.names))
         got = a.derivative(v) if op == "d" else binary[op](a, b)
+        if got.dfac is not None:
+            hinted_den = _product(ring, got.dfac.elements()).scale(got.dc)
+            generic = FieldElem(got.num, hinted_den)
+            for _ in range(2):
+                assert hash(got) == hash(generic) and got == generic and generic == got, (op, got, got.dfac)
+                assert got.den == hinted_den, (op, got, got.dfac)
         num, den = _unreduced(op, a, b, v)
         want = FieldElem(num, den)
         assert got.num * want.den == want.num * got.den, (op, a, b, v)
         if got.dfac is not None:
             assert (got.num.terms, got.den.terms) == _cancelled(_sym(num), _sym(den)), (op, a, b, v)
-            c = got.den.content()
-            assert c > 0 and got.den == _product(ring, got.dfac.elements()).scale(c), (op, got, got.dfac)
+            assert got.dc > 0 and got.dc == got.den.content(), (op, got, got.dfac)
         elems.append(got)
