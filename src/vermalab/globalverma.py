@@ -24,7 +24,7 @@ from .patterns import (
     enumerate_global_fixed_points,
     shift_degree,
 )
-from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, ef_shift, first_defect, operator_sum
+from .verma import GradedOperator, VermaContext, _GradedSpace, _named_operator, first_defect, operator_sum, root_shift
 from .whittaker import whittaker_component
 
 
@@ -47,10 +47,12 @@ def _twist(coeff: FieldElem, sigma: tuple[int, ...], family: int) -> FieldElem:
     return coeff.permute_x(sigma)
 
 
-def global_ef_block(gctx: GlobalContext, which: str, family: int, i: int, d: DegreeVector) -> SparseMatrix:
-    """Block of the raising (e) or lowering (f) operator of one family."""
+def global_block(gctx: GlobalContext, family: int, a: int, b: int, d: DegreeVector) -> SparseMatrix:
+    """Block of E[a][b] of one family: the column of each global point is
+    the local E[a][b] column of the family's pattern, with sigma and the
+    other pattern kept and every entry twisted by ``_twist``."""
     d = tuple(d)
-    shift = ef_shift(gctx.n, which, i)
+    shift = root_shift(gctx.n, a, b)
     target = shift_degree(d, shift)
     src = gctx.basis(d)
     tgt_index = gctx.index(target)
@@ -59,10 +61,9 @@ def global_ef_block(gctx: GlobalContext, which: str, family: int, i: int, d: Deg
     for col, fp in enumerate(src):
         pat = fp.p0 if family == 1 else fp.pinf
         ldeg = pat.degree()
-        lblock = local.ef_block(which, i, ldeg)
         lcol = local.index(ldeg)[pat]
         lbasis = local.basis(shift_degree(ldeg, shift))
-        for (r, c), v in lblock.entries.items():
+        for (r, c), v in local.eij_block(a, b, ldeg).entries.items():
             if c != lcol:
                 continue
             q = lbasis[r]
@@ -72,37 +73,22 @@ def global_ef_block(gctx: GlobalContext, which: str, family: int, i: int, d: Deg
                 else GlobalFixedPoint(fp.sigma, fp.p0, q)
             )
             row = tgt_index.get(tfp)
-            if row is None:
-                continue
-            entries[(row, col)] = _twist(v, fp.sigma, family)
+            if row is not None:
+                entries[(row, col)] = _twist(v, fp.sigma, family)
     return SparseMatrix(gctx.dim(target), len(src), gctx.ring, entries)
-
-
-def global_cartan_block(gctx: GlobalContext, family: int, i: int, d: DegreeVector) -> SparseMatrix:
-    d = tuple(d)
-    src = gctx.basis(d)
-    local = gctx.local
-    entries = {}
-    for col, fp in enumerate(src):
-        pat = fp.p0 if family == 1 else fp.pinf
-        scalar = local.cartan_scalar(i, pat.degree())
-        entries[(col, col)] = _twist(scalar, fp.sigma, family)
-    return SparseMatrix(len(src), len(src), gctx.ring, entries)
 
 
 @_named_operator
 def lazy_global(gctx: GlobalContext, which: str, family: int, i: int) -> GradedOperator:
-    """which in e, f, h; family in 1, 2; label like e1(2)."""
-    n = gctx.n
-    if which in ("e", "f"):
-        shift = ef_shift(n, which, i)
-        build = lambda d: global_ef_block(gctx, which, family, i, d)
-    elif which == "h":
-        shift = (0,) * (n - 1)
-        build = lambda d: global_cartan_block(gctx, family, i, d)
-    else:
+    """which in e, f, h: E[i+1][i], E[i][i+1] or E[i][i] of the family
+    (1 or 2); label like e1(2)."""
+    pairs = {"e": (i + 1, i), "f": (i, i + 1), "h": (i, i)}
+    if which not in pairs:
         raise VermalabError(f"unknown operator kind {which}")
-    return GradedOperator(gctx, shift, build, f"{which}{i}({family})")
+    a, b = pairs[which]
+    return GradedOperator(
+        gctx, root_shift(gctx.n, a, b), lambda d: global_block(gctx, family, a, b, d), f"{which}{i}({family})"
+    )
 
 
 @_named_operator
@@ -292,7 +278,7 @@ def check_global_whittaker(n: int, d: DegreeVector):
     results = []
     hinv = gctx.local.hinv
     for i in range(1, n):
-        lower = shift_degree(d, ef_shift(n, "f", i))
+        lower = shift_degree(d, root_shift(n, i, i + 1))
         if not degree_valid(lower):
             continue
         b_lower = global_whittaker_vector(n, lower)

@@ -299,6 +299,15 @@ class ConnectionSpec:
                             f"QC{k + 2} entry {divmod(entry, self.dim)} has a coefficient outside the float range"
                         ) from None
         self._neg_kappa = -float(self.kappa)
+        # each distinct denominator, with its q-exponents and coefficients
+        self._dens = [
+            (
+                den,
+                np.array([q_exponent(e) for e in den.terms], dtype=int),
+                np.array([float(c) for c in den.terms.values()]),
+            )
+            for den in dict.fromkeys(den for _, den in pairs)
+        ]
 
     def blocks_at(self, q: list[complex]) -> np.ndarray:
         """Every QC_k block at the point q (coordinates in ``qnames``
@@ -339,6 +348,33 @@ class ConnectionSpec:
             gap = float(np.max(np.abs(got - want)))
             if gap > _CERTIFY_RTOL * max(1.0, float(np.max(np.abs(want)))):
                 raise VermalabError(f"compiled QC{k} is off by {gap:.3e} at q = {list(q)}")
+
+    def segment_pole(self, seg: "Segment") -> str | None:
+        """``den vanishes near q = [..]`` for a denominator of the
+        connection that the segment may pass through, or None once every
+        denominator is proven nonzero on it.
+
+        Along the segment a denominator is P(t) = sum_i mu_i exp(beta_i t),
+        so on a piece [a, b] with midpoint m, |P(t) - P(m)| <= (b - a)/2 *
+        sum_i |mu_i beta_i| max(exp(Re beta_i a), exp(Re beta_i b)).  A piece
+        where |P(m)| exceeds that bound is pole-free; any other is halved,
+        at most ``_POLE_DEPTH`` times.
+        """
+        log_start, deltas = np.array(seg.log_start), np.array(seg.deltas)
+        for den, exps, coeffs in self._dens:
+            mu = coeffs * np.exp(exps @ log_start)
+            beta = exps @ deltas
+            pieces = [(0.0, 1.0, 0)]
+            while pieces:
+                a, b, depth = pieces.pop()
+                m = (a + b) / 2
+                slope = np.sum(np.abs(mu * beta) * np.exp(np.maximum(beta.real * a, beta.real * b)))
+                if abs(np.sum(mu * np.exp(beta * m))) > (b - a) / 2 * slope:
+                    continue
+                if depth == _POLE_DEPTH:
+                    return f"{den.text()} vanishes near q = {seg.point(m)}"
+                pieces += [(m, b, depth + 1), (a, m, depth + 1)]
+        return None
 
 
 class Segment:
@@ -387,6 +423,7 @@ _LOCAL_TOL = 1e-10  # local error tolerance of the main run; the control run use
 _MAX_STEPS = 200_000  # step budget per segment
 _CIRCLE_PIECES = 6  # segments of a circle_loop; a full turn needs at least 3
 _CERTIFY_RTOL = 1e-10  # compiled vs exact blocks at the path's segment endpoints
+_POLE_DEPTH = 24  # halvings of a segment before a piece near a pole is an error
 
 
 def _transport_segment(spec: ConnectionSpec, seg: Segment, y: np.ndarray, tol: float) -> np.ndarray:
@@ -433,16 +470,25 @@ def monodromy_transport(spec: ConnectionSpec, path: list[Segment]) -> tuple[np.n
     Returns (matrix, error_estimate); the estimate is the max-norm gap to
     a control run at local tolerance /100, a step-refinement bound.
     The compiled connection is first certified against the exact one at
-    every segment's endpoints.
+    every segment's endpoints, then every segment is proven pole-free.
+    A float overflow during the transport is a ``VermalabError``.
     """
     for seg in path:
         spec.certify(seg.start)
         spec.certify(seg.end)
+    for s, seg in enumerate(path, 1):
+        witness = spec.segment_pole(seg)
+        if witness is not None:
+            raise VermalabError(f"the path passes through a pole of the connection on segment {s}: {witness}")
     runs = []
     for tol in (_LOCAL_TOL, _LOCAL_TOL / 100.0):
         y = np.eye(spec.dim, dtype=complex)
-        for seg in path:
-            y = _transport_segment(spec, seg, y, tol)
+        for s, seg in enumerate(path, 1):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    y = _transport_segment(spec, seg, y, tol)
+            except FloatingPointError:
+                raise VermalabError(f"the transport overflows the float range on segment {s}") from None
         runs.append(y)
     est = float(np.max(np.abs(runs[0] - runs[1])))
     return runs[1], est

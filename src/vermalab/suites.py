@@ -81,7 +81,7 @@ def suite_verify_gl(n: int, max_degree: int) -> VerificationReport:
         for i in range(1, n):
             eb = ctx.e_block(i, d)
             src = ctx.basis(d)
-            up = shift_degree(d, verma.ef_shift(n, "e", i))
+            up = shift_degree(d, verma.root_shift(n, i + 1, i))
             tgt = ctx.basis(up)
             for (r, c), _v in eb.entries.items():
                 diffs = [

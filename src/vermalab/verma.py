@@ -49,11 +49,6 @@ def root_shift(n: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(shift)
 
 
-def ef_shift(n: int, which: str, i: int) -> tuple[int, ...]:
-    """Degree shift of the row-i raise ("e", E[i+1][i]) or lower ("f", E[i][i+1])."""
-    return root_shift(n, i + 1, i) if which == "e" else root_shift(n, i, i + 1)
-
-
 class _GradedSpace:
     """The bases of the graded pieces of one rank, in the order of their
     enumerator, their indices, and the objects memoised on the space."""
@@ -61,28 +56,18 @@ class _GradedSpace:
     def __init__(self, n: int, enumerate_points):
         self.n = n
         self._enumerate = enumerate_points
-        self._basis: dict[DegreeVector, tuple] = {}
-        self._index: dict[DegreeVector, dict] = {}
         self._memo: dict[tuple, object] = {}
 
     def basis(self, d: DegreeVector) -> tuple:
         d = tuple(d)
-        got = self._basis.get(d)
-        if got is None:
-            got = tuple(self._enumerate(self.n, d)) if degree_valid(d) else ()
-            self._basis[d] = got
-        return got
+        return self._cached(("basis", d), lambda: tuple(self._enumerate(self.n, d)) if degree_valid(d) else ())
 
     def dim(self, d: DegreeVector) -> int:
         return len(self.basis(d))
 
     def index(self, d: DegreeVector) -> dict:
         d = tuple(d)
-        got = self._index.get(d)
-        if got is None:
-            got = {p: i for i, p in enumerate(self.basis(d))}
-            self._index[d] = got
-        return got
+        return self._cached(("index", d), lambda: {p: i for i, p in enumerate(self.basis(d))})
 
     def _cached(self, key: tuple, make):
         """The object memoised under ``key``; ``make()`` builds it on first use."""
@@ -103,7 +88,6 @@ class VermaContext(_GradedSpace):
         super().__init__(n, enumerate_patterns)
         self.ring = ring or classical_ring(n)
         self._blocks: dict[tuple, SparseMatrix] = {}
-        self._linform_polys: dict[tuple[int, int, int], "MultiPoly"] = {}
         self.hpoly = MultiPoly.var(self.ring, "h")
         self.h = FieldElem.var(self.ring, "h")
         self.hinv = FieldElem.from_factors(self.ring, 1, [], [self.hpoly])
@@ -125,15 +109,13 @@ class VermaContext(_GradedSpace):
 
     def linform_poly(self, j: int, k: int, c: int) -> "MultiPoly":
         """x_j - x_k + c h as a raw polynomial, cached (j = k gives c h)."""
-        key = (j, k, c)
-        got = self._linform_polys.get(key)
-        if got is None:
+
+        def make():
             if j == k:
-                got = self.hpoly.scale(c)
-            else:
-                got = MultiPoly.var(self.ring, f"x{j}") - MultiPoly.var(self.ring, f"x{k}") + self.hpoly.scale(c)
-            self._linform_polys[key] = got
-        return got
+                return self.hpoly.scale(c)
+            return MultiPoly.var(self.ring, f"x{j}") - MultiPoly.var(self.ring, f"x{k}") + self.hpoly.scale(c)
+
+        return self._cached(("linform", j, k, c), make)
 
     def cartan_scalar(self, i: int, d: DegreeVector) -> FieldElem:
         dprev = d[i - 2] if i >= 2 else 0
@@ -165,24 +147,46 @@ class VermaContext(_GradedSpace):
             num.append(self.linform_poly(k, j, dij - p.entry(i + 1, k)))
         return FieldElem.from_factors(self.ring, 1, num, den)
 
-    # -- primitive blocks ---------------------------------------------------
+    # -- blocks --------------------------------------------------------------
 
     def e_block(self, i: int, d: DegreeVector) -> SparseMatrix:
-        return self.ef_block("e", i, d)
+        return self.eij_block(i + 1, i, d)
 
     def f_block(self, i: int, d: DegreeVector) -> SparseMatrix:
-        return self.ef_block("f", i, d)
+        return self.eij_block(i, i + 1, d)
 
-    def ef_block(self, which: str, i: int, d: DegreeVector) -> SparseMatrix:
-        """Block of the row-i raise ("e") or lower ("f") on V_d, cached
-        under (which, i, d)."""
+    def diagonal_block(self, d: DegreeVector, scalar: FieldElem) -> SparseMatrix:
+        dim = self.dim(d)
+        if scalar.is_zero():
+            return SparseMatrix(dim, dim, self.ring)
+        return SparseMatrix(dim, dim, self.ring, {(i, i): scalar for i in range(dim)})
+
+    def eij_block(self, a: int, b: int, d: DegreeVector) -> SparseMatrix:
+        """Block of E[a][b] on V_d, cached under ("E", a, b, d): the
+        diagonal from ``cartan_scalar``, the raise E[i+1][i] and lower
+        E[i][i+1] from their coefficients, every other block by the
+        commutator ladder."""
         d = tuple(d)
-        key = (which, i, d)
+        key = ("E", a, b, d)
         got = self._blocks.get(key)
-        if got is not None:
-            return got
-        step, coefficient = (+1, self.e_coefficient) if which == "e" else (-1, self.f_coefficient)
-        target_d = shift_degree(d, ef_shift(self.n, which, i))
+        if got is None:
+            if a == b:
+                got = self.diagonal_block(d, self.cartan_scalar(a, d))
+            elif abs(a - b) == 1:
+                got = self._raise_lower_block(a, b, d)
+            elif a < b:
+                got = self._commutator_block((a, b - 1), (b - 1, b), d)
+            else:
+                got = self._commutator_block((a, a - 1), (a - 1, b), d)
+            self._blocks[key] = got
+        return got
+
+    def _raise_lower_block(self, a: int, b: int, d: DegreeVector) -> SparseMatrix:
+        """The row-i raise E[i+1][i] or lower E[i][i+1] on V_d, entry by
+        entry from ``e_coefficient`` or ``f_coefficient``."""
+        i = min(a, b)
+        step, coefficient = (+1, self.e_coefficient) if a > b else (-1, self.f_coefficient)
+        target_d = shift_degree(d, root_shift(self.n, a, b))
         src = self.basis(d)
         tgt_index = self.index(target_d)
         entries = {}
@@ -197,39 +201,7 @@ class VermaContext(_GradedSpace):
                 coeff = coefficient(p, i, j)
                 if not coeff.is_zero():
                     entries[(row, col)] = coeff
-        got = SparseMatrix(self.dim(target_d), len(src), self.ring, entries)
-        self._blocks[key] = got
-        return got
-
-    def diagonal_block(self, d: DegreeVector, scalar: FieldElem) -> SparseMatrix:
-        dim = self.dim(d)
-        if scalar.is_zero():
-            return SparseMatrix(dim, dim, self.ring)
-        return SparseMatrix(dim, dim, self.ring, {(i, i): scalar for i in range(dim)})
-
-    # -- derived blocks ----------------------------------------------------
-
-    def eij_block(self, a: int, b: int, d: DegreeVector) -> SparseMatrix:
-        """Block of E[a][b] on V_d, built by the commutator ladder."""
-        d = tuple(d)
-        if a == b:
-            return self.diagonal_block(d, self.cartan_scalar(a, d))
-        key = ("E", a, b, d)
-        got = self._blocks.get(key)
-        if got is not None:
-            return got
-        if a < b:
-            if b == a + 1:
-                got = self.f_block(a, d)
-            else:
-                got = self._commutator_block((a, b - 1), (b - 1, b), d)
-        else:
-            if a == b + 1:
-                got = self.e_block(b, d)
-            else:
-                got = self._commutator_block((a, a - 1), (a - 1, b), d)
-        self._blocks[key] = got
-        return got
+        return SparseMatrix(self.dim(target_d), len(src), self.ring, entries)
 
     def _commutator_block(self, ab: tuple[int, int], cd: tuple[int, int], d: DegreeVector) -> SparseMatrix:
         n = self.n
@@ -330,19 +302,16 @@ def _named_operator(make):
 
 
 @_named_operator
-def lazy_cartan(ctx: VermaContext, i: int) -> GradedOperator:
-    def build(d):
-        return ctx.diagonal_block(d, ctx.cartan_scalar(i, d))
-
-    return GradedOperator(ctx, (0,) * (ctx.n - 1), build, f"E{i}{i}")
-
-
-@_named_operator
 def lazy_eij(ctx: VermaContext, a: int, b: int) -> GradedOperator:
     def build(d):
         return ctx.eij_block(a, b, d)
 
     return GradedOperator(ctx, root_shift(ctx.n, a, b), build, f"E{a}{b}")
+
+
+def lazy_cartan(ctx: VermaContext, i: int) -> GradedOperator:
+    """The diagonal operator E_ii: the one ``lazy_eij`` operator of (i, i)."""
+    return lazy_eij(ctx, i, i)
 
 
 @_named_operator

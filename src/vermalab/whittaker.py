@@ -26,7 +26,7 @@ from .patterns import (
     separation,
     shift_degree,
 )
-from .verma import VermaContext, ef_shift
+from .verma import VermaContext, root_shift
 
 
 class SolveError(VermalabError):
@@ -83,7 +83,7 @@ class WhittakerSolver:
             for i in range(1, ctx.n):
                 if d[i - 1] < 1:
                     continue
-                lower = shift_degree(d, ef_shift(ctx.n, "f", i))
+                lower = shift_degree(d, root_shift(ctx.n, i, i + 1))
                 prev = self.component(lower)
                 blocks.append(ctx.f_block(i, d))
                 rhs.extend(v * ctx.hinv for v in prev.vector(ctx))

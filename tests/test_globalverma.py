@@ -24,7 +24,7 @@ from vermalab.globalverma import (
     vec_is_invariant,
 )
 from vermalab.gtalg import _esym, chern_generators, chern_weights
-from vermalab.patterns import GlobalFixedPoint, Pattern, degree_vectors_upto, joint_spectrum, separation
+from vermalab.patterns import GlobalFixedPoint, Pattern, degree_vectors_upto, joint_spectrum, separation, shift_degree
 
 
 def test_family_blocks_match_bar_rule_n2():
@@ -66,6 +66,36 @@ def test_delta_operators_are_family_sums():
                 want[k] = want[k] + v if k in want else v
             want = {k: v for k, v in want.items() if not v.is_zero()}
             assert lazy_global_delta(gctx, kind, i).block(d).entries == want, (n, kind, i, d)
+
+
+def test_global_h_blocks_are_twisted_cartan_scalars():
+    # family 1 reads the scalar off p0, family 2 off pinf and bars it;
+    # both then substitute sigma
+    gctx = GlobalContext.get(3)
+    local = gctx.local
+    for fam, i, d in itertools.product((1, 2), range(1, 4), degree_vectors_upto(3, 2)):
+        want = {}
+        for col, fp in enumerate(gctx.basis(d)):
+            scalar = local.cartan_scalar(i, (fp.p0 if fam == 1 else fp.pinf).degree())
+            want[(col, col)] = (scalar if fam == 1 else scalar.bar()).permute_x(fp.sigma)
+        assert lazy_global(gctx, "h", fam, i).block(d).entries == want, (fam, i, d)
+
+
+def test_family_two_is_family_one_barred_with_patterns_swapped():
+    gctx = GlobalContext.get(3)
+
+    def swap(fp):
+        return GlobalFixedPoint(fp.sigma, fp.pinf, fp.p0)
+
+    seen = 0
+    for kind, i, d in itertools.product("ef", (1, 2), degree_vectors_upto(3, 2)):
+        one, two = (lazy_global(gctx, kind, fam, i) for fam in (1, 2))
+        src, tgt = gctx.basis(d), gctx.basis(shift_degree(d, one.shift))
+        want = {(tgt[r], src[c]): v for (r, c), v in one.block(d).entries.items()}
+        got = {(swap(tgt[r]), swap(src[c])): v.bar() for (r, c), v in two.block(d).entries.items()}
+        assert got == want, (kind, i, d)
+        seen += len(want)
+    assert seen > 0
 
 
 def test_e1f1_commutator_is_sigma_twisted_h():

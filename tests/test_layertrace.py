@@ -3,7 +3,8 @@
 ``perfbench/layertrace.py`` rebinds functions of the package by name from
 outside ``src/``; a rename there would make a traced benchmark run fail.
 This runs four small CLI commands under its tracer in a fresh process
-(its rebinding is process-wide) and checks the hooks recorded calls.
+(its rebinding is process-wide) and checks the hooks recorded calls, and
+that the block cache the tracer inspects recorded hits.
 """
 
 import cmath
@@ -30,7 +31,11 @@ codes = [
     cli.run(["monodromy", "--n", "3", "--degree", "1,1", "--spec", "x1=0,x2=1,x3=2,h=1",
              "--path", sys.argv[2] + "/loop.json", "--out", sys.argv[2] + "/mono.json"]),
 ]
-print(json.dumps({"codes": codes, "calls": {k: s.calls for k, s in tracer.stats.items()}}))
+print(json.dumps({
+    "codes": codes,
+    "calls": {k: s.calls for k, s in tracer.stats.items()},
+    "block_hits": tracer.stats["verma.eij_block"].extra["hits"],
+}))
 """
 
 
@@ -54,3 +59,6 @@ def test_benchmark_hooks_record_calls(tmp_path):
         "shiftarg.transport", "ring.evaluate", "field.evaluate_complex",
     ):
         assert out["calls"].get(hook, 0) > 0, hook
+    # the hit count reads VermaContext._blocks under ("E", a, b, d); a
+    # change of that key would zero verma.eij_block.hit_ratio unnoticed
+    assert out["block_hits"] > 0

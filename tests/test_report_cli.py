@@ -389,6 +389,31 @@ def test_cli_monodromy_overflow_at_a_finite_point_is_one_line_error(tmp_path):
     _assert_one_line_error(res, 1, "error: the connection overflows at q = [(1e+160+0j), (0.5+0j)]")
 
 
+def test_cli_monodromy_transport_overflow_is_one_line_error(tmp_path):
+    # every coefficient is finite, but kappa = 1e300 overflows the integrator
+    pts = [0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(4)]
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"segments": [
+        {"from": [[a.real, a.imag]], "to": [[b.real, b.imag]]} for a, b in zip(pts, pts[1:])
+    ]}))
+    res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--kappa", "1e300", "--path", str(loop))
+    _assert_one_line_error(res, 1, "error: the transport overflows the float range on segment 1")
+
+
+def test_cli_monodromy_path_through_a_pole_is_one_line_error(tmp_path):
+    # both endpoints are regular, but q2 runs from -1/2 through the pole
+    # q2 = -1 of the connection on its way to -2
+    path = tmp_path / "through.json"
+    path.write_text(json.dumps({"segments": [
+        {"from": [[-0.5, 0]], "to": [[-2, 0]]},
+        {"from": [[-2, 0]], "to": [[-0.5, 0]]},
+    ]}))
+    res = _run_cli("monodromy", "--n", "3", "--degree", "1,1", "--spec", _SPEC, "--path", str(path))
+    _assert_one_line_error(
+        res, 1, "error: the path passes through a pole of the connection on segment 1: q2 + 1 vanishes near q = [(-0.99999"
+    )
+
+
 def test_cli_outputs_identical_across_hash_seeds(tmp_path):
     # a three-segment loop of q2 around 0, the fewest segments a loop takes
     pts = [0.3 * cmath.exp(2j * math.pi * k / 3) for k in range(4)]
