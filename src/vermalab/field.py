@@ -20,6 +20,11 @@ division of the numerator and its integer content against dc, and keeps
 what is left as the hint: it never divides a denominator.  Otherwise it
 cancels a generic polynomial gcd from both.  Either way the stored pair
 is fully reduced, and zero tests are plain numerator tests.
+
+``signed_sum_is_zero`` decides whether a signed sum of products of
+elements vanishes without forming it: the terms go over one common
+denominator built from the hints, and one numerator is tested, with no
+gcd and no trial division.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import gcd as int_gcd
-from operator import mul
-from typing import Callable, Mapping
+from math import gcd as int_gcd, lcm
+from operator import mul, or_
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ring import MultiPoly, PolyRing, exact_div, poly_gcd
 
@@ -408,6 +413,42 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self.text()})"
+
+
+def signed_sum_is_zero(terms: Iterable[tuple[int, Sequence[FieldElem]]]) -> bool:
+    """Whether sum_t s_t * prod_j a_tj is zero, for signs s_t = +-1.
+
+    Term t has the denominator c_t * prod(D_t): a hinted factor gives its
+    ``dc`` and ``dfac``, a generic one 1 and its den as one opaque factor,
+    so an unread hinted den is never built.  With L the union-max of the
+    multisets D_t and C the lcm of the c_t, the sum is zero exactly when
+    sum_t s_t * (C / c_t) * prod_j num_tj * prod(L - D_t) is.
+    """
+    parts = []
+    for sign, factors in terms:
+        if any(a.num.is_zero() for a in factors):
+            continue
+        num, c, dfac = None, 1, Counter()
+        for a in factors:
+            num = a.num if num is None else num * a.num
+            if a.dfac is None:
+                dfac[a.den] += 1
+            else:
+                c *= a.dc
+                dfac.update(a.dfac)
+        parts.append((sign, num, c, dfac))
+    if len(parts) < 2:
+        # a product of nonzero elements is nonzero
+        return not parts
+    big_l = reduce(or_, (dfac for *_, dfac in parts))
+    big_c = lcm(*(c for _, _, c, _ in parts))
+    total = None
+    for sign, num, c, dfac in parts:
+        k = sign * (big_c // c)
+        num = reduce(mul, (big_l - dfac).elements(), num)
+        num = num if k == 1 else num.scale(k)
+        total = num if total is None else total + num
+    return total.is_zero()
 
 
 def _flipped(fe: FieldElem) -> FieldElem:

@@ -118,7 +118,7 @@ def check_double_relations(n: int, dmax: int):
     results = []
 
     def check(label, anchor, op):
-        results.append((label, anchor, first_defect(degrees, op.block)))
+        results.append((label, anchor, first_defect(degrees, op.terms)))
 
     for fam in (1, 2):
         t = f"({fam})"

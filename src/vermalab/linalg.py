@@ -1,10 +1,11 @@
-"""Sparse matrices over the rational-function field and exact solving."""
+"""Sparse matrices over the rational-function field, signed sums of
+block products, and exact solving."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .field import FieldElem, VermalabError
+from .field import FieldElem, VermalabError, signed_sum_is_zero
 from .ring import MultiPoly, PolyRing, poly_lcm
 
 
@@ -66,11 +67,8 @@ class SparseMatrix:
         )
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise VermalabError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, FieldElem]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        self._check_product(other)
+        by_row = other._by_row()
         out: dict[tuple[int, int], FieldElem] = {}
         for (r, k), a in self.entries.items():
             hits = by_row.get(k)
@@ -96,6 +94,16 @@ class SparseMatrix:
                 out[r] = out[r] + v * vec[c]
         return out
 
+    def _by_row(self) -> dict[int, list[tuple[int, FieldElem]]]:
+        by_row: dict[int, list[tuple[int, FieldElem]]] = {}
+        for (r, c), v in self.entries.items():
+            by_row.setdefault(r, []).append((c, v))
+        return by_row
+
+    def _check_product(self, other: "SparseMatrix"):
+        if self.cols != other.rows:
+            raise VermalabError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+
     def _check_shape(self, other: "SparseMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise VermalabError(
@@ -112,6 +120,73 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+
+
+class BlockSum:
+    """A signed sum of block products, sum_t s_t * left_t [@ right_t], kept
+    as its terms ``(sign, left, right | None)`` with sign +-1.
+
+    ``first_nonzero`` decides it entry by entry without building it;
+    ``materialise`` builds it.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Iterable[tuple[int, SparseMatrix, SparseMatrix | None]]):
+        self.terms = list(terms)
+        shapes = set()
+        for _, left, right in self.terms:
+            if right is not None:
+                left._check_product(right)
+            shapes.add((left.rows, (left if right is None else right).cols))
+        if len(shapes) != 1:
+            raise VermalabError(f"a block sum needs terms of one shape, not {sorted(shapes)}")
+
+    @classmethod
+    def of(cls, block: SparseMatrix) -> "BlockSum":
+        return cls([(1, block, None)])
+
+    def __add__(self, other: "BlockSum") -> "BlockSum":
+        return BlockSum(self.terms + other.terms)
+
+    def __sub__(self, other: "BlockSum") -> "BlockSum":
+        return BlockSum(self.terms + [(-s, left, right) for s, left, right in other.terms])
+
+    def materialise(self) -> SparseMatrix:
+        """The sum as one matrix: the terms folded left to right with the
+        matrix ``@``, ``+`` and ``-``."""
+        acc = None
+        for sign, left, right in self.terms:
+            block = left if right is None else left @ right
+            if acc is None:
+                acc = block if sign > 0 else -block
+            else:
+                acc = acc + block if sign > 0 else acc - block
+        return acc
+
+    def first_nonzero(self) -> tuple[int, int] | None:
+        """The row-major first (r, c) where the sum is nonzero, or None.
+
+        Each entry is a signed sum of entry products, decided in row-major
+        order by ``signed_sum_is_zero``; no entry is formed or reduced.
+        """
+        by_entry: dict[tuple[int, int], list] = {}
+        for sign, left, right in self.terms:
+            if right is None:
+                for key, v in left.entries.items():
+                    by_entry.setdefault(key, []).append((sign, (v,)))
+                continue
+            by_row = right._by_row()
+            for (r, k), a in left.entries.items():
+                for c, b in by_row.get(k, ()):
+                    by_entry.setdefault((r, c), []).append((sign, (a, b)))
+        for key in sorted(by_entry):
+            if not signed_sum_is_zero(by_entry[key]):
+                return key
+        return None
+
+    def is_zero(self) -> bool:
+        return self.first_nonzero() is None
 
 
 class LinearSolveResult:

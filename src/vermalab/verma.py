@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 
 from .field import FieldElem, VermalabError
-from .linalg import SparseMatrix
+from .linalg import BlockSum, SparseMatrix
 from .patterns import (
     DegreeVector,
     Pattern,
@@ -175,9 +175,9 @@ class VermaContext(_GradedSpace):
             elif abs(a - b) == 1:
                 got = self._raise_lower_block(a, b, d)
             elif a < b:
-                got = self._commutator_block((a, b - 1), (b - 1, b), d)
+                got = self.commutator_terms((a, b - 1), (b - 1, b), d).materialise()
             else:
-                got = self._commutator_block((a, a - 1), (a - 1, b), d)
+                got = self.commutator_terms((a, a - 1), (a - 1, b), d).materialise()
             self._blocks[key] = got
         return got
 
@@ -203,13 +203,15 @@ class VermaContext(_GradedSpace):
                     entries[(row, col)] = coeff
         return SparseMatrix(self.dim(target_d), len(src), self.ring, entries)
 
-    def _commutator_block(self, ab: tuple[int, int], cd: tuple[int, int], d: DegreeVector) -> SparseMatrix:
+    def commutator_terms(self, ab: tuple[int, int], cd: tuple[int, int], d: DegreeVector) -> BlockSum:
+        """[E_ab, E_cd] on V_d as its two block products, unbuilt."""
         n = self.n
         s_ab = root_shift(n, *ab)
         s_cd = root_shift(n, *cd)
-        first = self.eij_block(*ab, shift_degree(d, s_cd)) @ self.eij_block(*cd, d)
-        second = self.eij_block(*cd, shift_degree(d, s_ab)) @ self.eij_block(*ab, d)
-        return first - second
+        return BlockSum([
+            (1, self.eij_block(*ab, shift_degree(d, s_cd)), self.eij_block(*cd, d)),
+            (-1, self.eij_block(*cd, shift_degree(d, s_ab)), self.eij_block(*ab, d)),
+        ])
 
 
 class GradedOperator:
@@ -221,14 +223,15 @@ class GradedOperator:
     defined.
     """
 
-    __slots__ = ("space", "shift", "blocks", "builder", "label")
+    __slots__ = ("space", "shift", "blocks", "builder", "label", "expand")
 
-    def __init__(self, space, shift, builder, label=""):
+    def __init__(self, space, shift, builder, label="", expand=None):
         self.space = space
         self.shift = tuple(shift)
         self.blocks: dict[DegreeVector, SparseMatrix] = {}
         self.builder = builder
         self.label = label
+        self.expand = expand
 
     def block(self, d: DegreeVector) -> SparseMatrix:
         d = tuple(d)
@@ -238,6 +241,13 @@ class GradedOperator:
             self.blocks[d] = got
         return got
 
+    def terms(self, d: DegreeVector) -> BlockSum:
+        """The block on V_d as a signed sum of block products, unbuilt: a
+        composition is its one product of blocks, a difference the terms
+        of both sides, any other operator its own block."""
+        d = tuple(d)
+        return BlockSum.of(self.block(d)) if self.expand is None else self.expand(d)
+
     # -- operator algebra -----------------------------------------------
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
@@ -246,11 +256,10 @@ class GradedOperator:
             raise VermalabError("operators live on different spaces")
         shift = tuple(a + b for a, b in zip(self.shift, other.shift))
 
-        def build(d):
-            mid = shift_degree(d, other.shift)
-            return self.block(mid) @ other.block(d)
+        def expand(d):
+            return BlockSum([(1, self.block(shift_degree(d, other.shift)), other.block(d))])
 
-        return GradedOperator(self.space, shift, build, f"({self.label}*{other.label})")
+        return GradedOperator(self.space, shift, lambda d: expand(d).materialise(), f"({self.label}*{other.label})", expand)
 
     def sub(self, other: "GradedOperator") -> "GradedOperator":
         if self.shift != other.shift:
@@ -259,7 +268,10 @@ class GradedOperator:
         def build(d):
             return self.block(d) - other.block(d)
 
-        return GradedOperator(self.space, self.shift, build, f"({self.label}-{other.label})")
+        def expand(d):
+            return self.terms(d) - other.terms(d)
+
+        return GradedOperator(self.space, self.shift, build, f"({self.label}-{other.label})", expand)
 
     def scale(self, c: FieldElem) -> "GradedOperator":
         def build(d):
@@ -350,26 +362,28 @@ def operator_sum(ops: list[GradedOperator]) -> GradedOperator:
 
 def gl_relation_defect(
     ctx: VermaContext, ab: tuple[int, int], cd: tuple[int, int], d: DegreeVector
-) -> SparseMatrix:
-    """[E_ab, E_cd] - delta_bc E_ad + delta_da E_cb on V_d (zero iff the
-    relation holds there)."""
+) -> BlockSum:
+    """[E_ab, E_cd] - delta_bc E_ad + delta_da E_cb on V_d as its terms
+    (zero iff the relation holds there)."""
     a, b = ab
     c, dd = cd
-    out = ctx._commutator_block(ab, cd, d)
+    out = ctx.commutator_terms(ab, cd, d)
     if b == c:
-        out = out - ctx.eij_block(a, dd, d)
+        out = out - BlockSum.of(ctx.eij_block(a, dd, d))
     if dd == a:
-        out = out + ctx.eij_block(c, b, d)
+        out = out + BlockSum.of(ctx.eij_block(c, b, d))
     return out
 
 
-def first_defect(degrees, block) -> str | None:
+def first_defect(degrees, terms) -> str | None:
     """``degree [..] entry (r,c): value`` at the first of ``degrees`` where
-    ``block(d)`` is nonzero, or None when every block vanishes."""
+    the block sum ``terms(d)`` is nonzero, or None when every one vanishes.
+    Each sum is decided unbuilt; only a nonzero one is built, for its
+    ``first_entry``."""
     for d in degrees:
-        witness = block(d).first_entry()
-        if witness is not None:
-            return f"degree {list(d)} {witness}"
+        expr = terms(d)
+        if expr.first_nonzero() is not None:
+            return f"degree {list(d)} {expr.materialise().first_entry()}"
     return None
 
 

@@ -108,7 +108,7 @@ def test_first_defect_names_the_first_nonzero_degree():
     degrees = degree_vectors_upto(2, 3)
     assert first_defect(degrees, lambda d: gl_relation_defect(c, (1, 2), (2, 1), d)) is None
     # E12 alone is zero on V_0 (nothing to lower) and nonzero from V_1 on
-    witness = first_defect(degrees, lazy_eij(c, 1, 2).block)
+    witness = first_defect(degrees, lazy_eij(c, 1, 2).terms)
     assert witness == f"degree [1] entry (0,0): {c.f_block(1, (1,)).get(0, 0).text()}"
 
 

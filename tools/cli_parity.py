@@ -56,6 +56,7 @@ MATRIX = {
     "patterns-global": ["patterns", "--n", "3", "--degree", "1,1", "--global", "--out", "patterns_global.json"],
     "verify-gl": ["verify-gl", "--n", "3", "--max-degree", "2", "--out", "gl.json"],
     "verify-gl-csv": ["verify-gl", "--n", "2", "--max-degree", "3", "--format", "csv", "--out", "gl.csv"],
+    "verify-gl-n4": ["verify-gl", "--n", "4", "--max-degree", "3", "--out", "gl4.json"],
     **{
         f"gt-spectrum-{gens}": ["gt-spectrum", "--n", "3", "--degree", "2,1", "--generators", gens, "--out", f"gt_{gens}.json"]
         for gens in ("tildeCas", "detBundles", "detBundlesAll", "chern")
@@ -75,6 +76,7 @@ MATRIX = {
     "monodromy-open": [*MONO3, "--path", "open.json"],
     "global-verify-n2": ["global-verify", "--n", "2", "--max-degree", "2", "--out", "global2.json"],
     "global-verify-n3-csv": ["global-verify", "--n", "3", "--max-degree", "1", "--format", "csv", "--out", "global3.csv"],
+    "global-verify-n3": ["global-verify", "--n", "3", "--max-degree", "2", "--out", "global3.json"],
     "ktheory": ["ktheory", "--n", "3", "--max-degree", "2", "--out", "kt.json"],
     "ktheory-csv": ["ktheory", "--n", "2", "--format", "csv", "--out", "kt.csv"],
     # documented one-line errors
