@@ -23,8 +23,10 @@ is fully reduced, and zero tests are plain numerator tests.
 
 ``signed_sum_is_zero`` decides whether a signed sum of products of
 elements vanishes without forming it: the terms go over one common
-denominator built from the hints, and one numerator is tested, with no
-gcd and no trial division.
+denominator built from the hints in plain dicts, and one numerator, a
+sum of products of polynomials, is tested by
+``ring.products_sum_is_zero`` on packed monomial keys, with no gcd, no
+trial division and no polynomial product.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd as int_gcd, lcm
-from operator import mul, or_
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .ring import MultiPoly, PolyRing, exact_div, poly_gcd
+from .ring import MultiPoly, PolyRing, exact_div, poly_gcd, products_sum_is_zero
 
 
 class VermalabError(Exception):
@@ -422,33 +424,38 @@ def signed_sum_is_zero(terms: Iterable[tuple[int, Sequence[FieldElem]]]) -> bool
     ``dc`` and ``dfac``, a generic one 1 and its den as one opaque factor,
     so an unread hinted den is never built.  With L the union-max of the
     multisets D_t and C the lcm of the c_t, the sum is zero exactly when
-    sum_t s_t * (C / c_t) * prod_j num_tj * prod(L - D_t) is.
+    sum_t s_t * (C / c_t) * prod_j num_tj * prod(L - D_t) is; the
+    multisets are plain dicts, and ``ring.products_sum_is_zero`` decides
+    that sum without forming a polynomial.
     """
     parts = []
+    big_l: dict[MultiPoly, int] = {}
     for sign, factors in terms:
         if any(a.num.is_zero() for a in factors):
             continue
-        num, c, dfac = None, 1, Counter()
+        c, dfac = 1, {}
         for a in factors:
-            num = a.num if num is None else num * a.num
             if a.dfac is None:
-                dfac[a.den] += 1
-            else:
-                c *= a.dc
-                dfac.update(a.dfac)
-        parts.append((sign, num, c, dfac))
+                dfac[a.den] = dfac.get(a.den, 0) + 1
+                continue
+            c *= a.dc
+            for f, m in a.dfac.items():
+                dfac[f] = dfac.get(f, 0) + m
+        for f, m in dfac.items():
+            if m > big_l.get(f, 0):
+                big_l[f] = m
+        parts.append((sign, factors, c, dfac))
     if len(parts) < 2:
         # a product of nonzero elements is nonzero
         return not parts
-    big_l = reduce(or_, (dfac for *_, dfac in parts))
     big_c = lcm(*(c for _, _, c, _ in parts))
-    total = None
-    for sign, num, c, dfac in parts:
-        k = sign * (big_c // c)
-        num = reduce(mul, (big_l - dfac).elements(), num)
-        num = num if k == 1 else num.scale(k)
-        total = num if total is None else total + num
-    return total.is_zero()
+    return products_sum_is_zero(
+        (
+            sign * (big_c // c),
+            [a.num for a in factors] + [f for f, m in big_l.items() for _ in range(m - dfac.get(f, 0))],
+        )
+        for sign, factors, c, dfac in parts
+    )
 
 
 def _flipped(fe: FieldElem) -> FieldElem:

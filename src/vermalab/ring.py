@@ -16,15 +16,19 @@ h < q2 < ... giving x1 the strongest tie break.  All iteration that can
 reach output is done in this order, descending, so serialized forms are
 byte stable.
 
-Exact division works on packed monomial keys.  An exponent tuple becomes
-one int: the total degree in the top field, then x1, ..., the last
-variable, each field ``w`` bits wide with a zero guard bit above it, where
-``w`` is the bit length of the dividend's total degree.  Because grlex is
-degree compatible, that degree bounds every remainder and quotient
-exponent, so no field overflows.  Int order is then grlex order, a
-monomial product is an int add, and the divisor's leading monomial
-divides a term exactly when the key difference is nonnegative and has no
-guard bit set.  ``MultiPoly.terms`` itself stays keyed by tuples.
+Exact division and the zero test of sums of products work on packed
+monomial keys, one layout (``_key_layout``) and one packer (``_pack``).
+An exponent tuple becomes one int: the total degree in the top field,
+then x1, ..., the last variable, each field ``w`` bits wide with a zero
+guard bit above it, where ``w`` is the bit length of a bound on every
+total degree the operation can reach: the dividend's total degree for
+``exact_div`` (grlex is degree compatible, so it bounds every remainder
+and quotient exponent), the largest total degree of a product for
+``products_sum_is_zero``.  No field then overflows.  Int order is grlex
+order, a monomial product is an int add, and the divisor's leading
+monomial divides a term exactly when the key difference is nonnegative
+and has no guard bit set.  Keys live for one call: ``MultiPoly.terms``
+itself stays keyed by tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, isqrt
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class PolyRing:
@@ -350,6 +354,56 @@ def _key_layout(nvars: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...
     return weights, shifts, guard, (1 << width) - 1
 
 
+def _pack(p: MultiPoly, weights: tuple[int, ...]) -> dict[int, int | Fraction]:
+    """p's terms keyed by their packed monomials (see ``_key_layout``)."""
+    return {sum(map(mul, e, weights)): c for e, c in p.terms.items()}
+
+
+def products_sum_is_zero(terms: Iterable[tuple[int, Sequence[MultiPoly]]]) -> bool:
+    """Whether sum_t k_t * prod_j p_tj is zero, for int k_t and polynomials
+    of one ring.
+
+    The sum is formed on packed keys (see the module docstring) with fields
+    as wide as the bit length of the largest total degree of a product,
+    which bounds every exponent of every partial product.  Each distinct
+    operand is packed once per call (by identity, for this call only), and
+    a monomial product is an int add.  Each product starts from k_t, its
+    factors but the last are multiplied in as dicts, and the last factor's
+    term products go straight into one dict of the sum.  Nothing is
+    unpacked: the sum is zero when that dict holds no nonzero coefficient.
+    An empty product is 1; a term with k_t = 0 or a zero factor is skipped.
+    """
+    terms = [(k, ps) for k, ps in terms if k and all(ps)]
+    if not terms:
+        return True
+    bound = max(sum(p.total_degree() for p in ps) for _, ps in terms)
+    nvars = next((p.ring.nvars for _, ps in terms for p in ps), 0)
+    weights = _key_layout(nvars, bound.bit_length())[0]
+    packed: dict[int, dict[int, int | Fraction]] = {}
+
+    def items(p: MultiPoly):
+        got = packed.get(id(p))
+        if got is None:
+            got = packed[id(p)] = _pack(p, weights)
+        return got.items()
+
+    total: dict[int, int | Fraction] = {}
+    for k, ps in terms:
+        prod = {0: k}
+        for p in ps[:-1]:
+            out: dict[int, int | Fraction] = {}
+            for kb, cb in items(p):
+                for ka, ca in prod.items():
+                    key = ka + kb
+                    out[key] = out.get(key, 0) + ca * cb
+            prod = out
+        for kb, cb in items(ps[-1]) if ps else ((0, 1),):
+            for ka, ca in prod.items():
+                key = ka + kb
+                total[key] = total.get(key, 0) + ca * cb
+    return not any(total.values())
+
+
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Exact polynomial division a / b, or None when b does not divide a.
 
@@ -383,11 +437,11 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     # Every remainder and quotient exponent is at most deg (grlex is
     # degree compatible), so fields of deg.bit_length() bits hold it.
     weights, shifts, guard, mask = _key_layout(a.ring.nvars, deg.bit_length())
-    divisor = {sum(map(mul, e, weights)): c for e, c in b.terms.items()}
+    divisor = _pack(b, weights)
     kb = max(divisor)
     cb = divisor.pop(kb)
     tail = list(divisor.items())
-    rem = {sum(map(mul, e, weights)): c for e, c in a.terms.items()}
+    rem = _pack(a, weights)
     heap = [-k for k in rem]
     heapify(heap)
     quo = []

@@ -24,7 +24,16 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from vermalab.field import FieldElem  # noqa: E402
-from vermalab.ring import MultiPoly, PolyRing, classical_ring, exact_div, poly_gcd, poly_lcm, quantum_ring  # noqa: E402
+from vermalab.ring import (  # noqa: E402
+    MultiPoly,
+    PolyRing,
+    classical_ring,
+    exact_div,
+    poly_gcd,
+    poly_lcm,
+    products_sum_is_zero,
+    quantum_ring,
+)
 
 RINGS = (classical_ring(3), quantum_ring(4))
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -179,6 +188,158 @@ def test_exact_div_corpus_matches_sympy(case):
     ring = PolyRing(case["ring"])
     a, b = (MultiPoly(ring, {tuple(e): c for e, c in case[key]}) for key in ("a", "b"))
     assert _check_div(a, b) is case["divides"]
+
+
+# -- products_sum_is_zero: sum_t k_t * prod_j p_tj on packed keys ----------
+
+# the 5-variable classical ring x1..x4, h and the quantum ring of rank 6
+# (x1..x6, h, q2..q5); the kernel's fields are as wide as the bit length of
+# the largest total degree of a product, so products are padded to the
+# degrees where that bit length changes
+KERNEL_RINGS = (classical_ring(4), quantum_ring(6))
+EDGE_DEGREES = (1, 2, 3, 4, 7, 8, 16)  # 2^w - 1, 2^w and 2^(w+1) for w <= 3
+
+
+def _power(ring, var: int, k: int) -> MultiPoly:
+    e = [0] * ring.nvars
+    e[var] = k
+    return MultiPoly(ring, {tuple(e): 1})
+
+
+def _dealt(ring, exp: list, owner) -> list:
+    """The monomial with exponent vector exp as a product of factors: the
+    n-th unit of its degree goes to factor owner(n)."""
+    parts: dict[int, list] = {}
+    units = [i for i, k in enumerate(exp) for _ in range(k)]
+    for n, i in enumerate(units):
+        parts.setdefault(owner(n), [0] * ring.nvars)[i] += 1
+    return [MultiPoly(ring, {tuple(e): 1}) for _, e in sorted(parts.items())]
+
+
+def _collision_pair(ring, a: int, u: int, cofactor: list) -> tuple[list, list]:
+    """The exponent vectors of m * v_a * v_c^u and m * v_b^(u+1), for the
+    consecutive variables a < b < c and the cofactor m.  The monomials
+    differ, but with fields of log2(u) - 1 bits and a guard bit their packed
+    keys are equal: v_c^u carries one unit into v_b's field, and v_b^(u+1)
+    one into v_a's."""
+    left, right = list(cofactor), list(cofactor)
+    left[a] += 1
+    left[a + 2] += u
+    right[a + 1] += u + 1
+    return left, right
+
+
+@st.composite
+def edge_products(draw, ring):
+    """1-3 small factors, padded with powers of one variable to a product of
+    total degree in EDGE_DEGREES."""
+    factors = draw(st.lists(st.one_of(linear_forms(ring), sparse_polys(ring)), min_size=1, max_size=3))
+    target = draw(st.sampled_from(EDGE_DEGREES))
+    while len(factors) > 1 and sum(f.total_degree() for f in factors) > target:
+        factors.pop()
+    pad = target - sum(f.total_degree() for f in factors)
+    if pad > 0:
+        var = draw(st.integers(0, ring.nvars - 1))
+        cut = draw(st.integers(0, pad))
+        factors += [_power(ring, var, k) for k in (cut, pad - cut) if k]
+    return draw(st.permutations(factors))
+
+
+def _regroup(factors: list, draw) -> list:
+    """The same product in another shape: reversed, or its first two
+    factors multiplied into one."""
+    if len(factors) > 1 and draw(st.booleans()):
+        return [factors[0] * factors[1]] + factors[2:]
+    return factors[::-1]
+
+
+@st.composite
+def collision_pairs(draw, ring):
+    """k * (m * v_a * v_c^u - m * v_b^(u+1)) (``_collision_pair``) for
+    u = 2^j and m = 1 or a power of one variable, each monomial dealt to
+    1-5 factors at random or in turn.  A layout too narrow for the
+    product's degree would call this nonzero sum zero."""
+    u = 2 ** draw(st.integers(1, 3))
+    cofactor = [0] * ring.nvars
+    if draw(st.booleans()):
+        cofactor[draw(st.integers(0, ring.nvars - 1))] = draw(st.integers(1, 2))
+    left, right = _collision_pair(ring, draw(st.integers(0, ring.nvars - 3)), u, cofactor)
+    k = draw(st.integers(-3, 3).filter(bool))
+    split = []
+    for exp in (left, right):
+        parts = draw(st.integers(1, 5))
+        in_turn = draw(st.booleans())
+        split.append(_dealt(ring, exp, lambda n: n % parts if in_turn else draw(st.integers(0, parts - 1))))
+    return [(k, split[0]), (-k, split[1])]
+
+
+@st.composite
+def product_sums(draw):
+    """A ring and a sum [(k, factors)]: the empty sum, a single term, random
+    terms, terms that cancel by construction, or a collision pair, each
+    possibly with more terms and their cancelling copies mixed in."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    kind = draw(st.sampled_from(["empty", "single", "random", "cancel", "cancel", "collision"]))
+    if kind == "empty":
+        return ring, []
+    ks = st.integers(-3, 3)
+    if kind == "single":
+        return ring, [(draw(ks), draw(edge_products(ring)))]
+    terms = draw(collision_pairs(ring)) if kind == "collision" else []
+    terms += [(draw(ks), draw(edge_products(ring))) for _ in range(draw(st.integers(kind != "collision", 3)))]
+    if kind == "cancel" or draw(st.booleans()):
+        # each term again with its k split in two parts of the other sign
+        copies = []
+        for k, factors in terms[2 if kind == "collision" else 0 :]:
+            k1 = draw(st.integers(-3, 3))
+            copies += [(-k - k1, _regroup(factors, draw)), (k1, _regroup(factors, draw))]
+        terms = draw(st.permutations(terms + copies))
+    return ring, terms
+
+
+def _multipoly_sum(ring, terms) -> MultiPoly:
+    total = MultiPoly.zero(ring)
+    for k, factors in terms:
+        total = total + _product(ring, factors).scale(k)
+    return total
+
+
+@settings(SETTINGS, max_examples=150)
+@given(product_sums())
+def test_products_sum_is_zero_matches_multipoly_and_sympy(case):
+    ring, terms = case
+    expr = sum((k * sympy.Mul(*(_sym(p).as_expr() for p in factors)) for k, factors in terms), sympy.Integer(0))
+    want = sympy.expand(expr) == 0
+    assert _multipoly_sum(ring, terms).is_zero() is want
+    assert products_sum_is_zero(terms) is want
+    assert products_sum_is_zero(iter(terms)) is want
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize("u", [2, 4, 8, 16])
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=["classical4", "quantum6"])
+def test_products_sum_is_zero_keeps_colliding_keys_apart(ring, u, parts):
+    # a collision pair of degree u + 1 as products of ``parts`` factors of
+    # near-equal degree: a bound taken from one factor instead of the whole
+    # product would give fields of log2(u) - 1 bits for some of these
+    for a in (0, ring.nvars - 3):
+        left, right = (_dealt(ring, exp, lambda n: n % parts) for exp in _collision_pair(ring, a, u, [0] * ring.nvars))
+        assert not products_sum_is_zero([(1, left), (-1, right)])
+        assert products_sum_is_zero([(2, left), (-1, right), (-2, left[::-1]), (1, right[::-1])])
+
+
+def test_products_sum_is_zero_degenerate_sums():
+    ring = KERNEL_RINGS[0]
+    x1, h = MultiPoly.var(ring, "x1"), MultiPoly.var(ring, "h")
+    zero, one = MultiPoly.zero(ring), MultiPoly.const(ring, 1)
+    assert products_sum_is_zero([])
+    assert products_sum_is_zero([(0, [x1])])
+    assert products_sum_is_zero([(3, [x1, zero])])
+    assert not products_sum_is_zero([(2, [])])
+    assert products_sum_is_zero([(2, []), (-2, [one])])
+    assert not products_sum_is_zero([(1, [x1, h]), (-1, [x1, x1])])
+    # the same operand objects in several terms
+    assert products_sum_is_zero([(1, [x1, x1, h]), (-1, [h, x1, x1])])
 
 
 @st.composite

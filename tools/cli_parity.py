@@ -77,6 +77,7 @@ MATRIX = {
     "global-verify-n2": ["global-verify", "--n", "2", "--max-degree", "2", "--out", "global2.json"],
     "global-verify-n3-csv": ["global-verify", "--n", "3", "--max-degree", "1", "--format", "csv", "--out", "global3.csv"],
     "global-verify-n3": ["global-verify", "--n", "3", "--max-degree", "2", "--out", "global3.json"],
+    "global-verify-n3-d3": ["global-verify", "--n", "3", "--max-degree", "3", "--out", "global3_d3.json"],
     "ktheory": ["ktheory", "--n", "3", "--max-degree", "2", "--out", "kt.json"],
     "ktheory-csv": ["ktheory", "--n", "2", "--format", "csv", "--out", "kt.csv"],
     # documented one-line errors
